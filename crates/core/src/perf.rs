@@ -54,7 +54,7 @@ pub struct EpochStats {
 }
 
 impl EpochStats {
-    fn zeroed(num_threads: usize, num_clusters: usize) -> Self {
+    pub(crate) fn zeroed(num_threads: usize, num_clusters: usize) -> Self {
         EpochStats {
             cycles: 0,
             committed: [0; MAX_THREADS],

@@ -394,7 +394,5 @@ impl Simulator {
             debug_assert!(self.threads[ti].unresolved_mispredict.is_none());
             self.threads[ti].unresolved_mispredict = Some(id);
         }
-        let th = &self.threads[ti];
-        view.wrong_path[ti] = th.wrong_path_mode && th.unresolved_mispredict.is_some();
     }
 }

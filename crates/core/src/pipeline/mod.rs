@@ -1048,12 +1048,6 @@ impl Simulator {
         for (i, th) in self.threads.iter().enumerate() {
             v.active[i] = true;
             v.fetchq_len[i] = th.fetchq.len();
-            // "On a wrong path" for policy purposes means the mispredicted
-            // branch has already dispatched: everything left to rename is
-            // doomed garbage. While the branch itself still waits in the
-            // fetch queue, the thread must stay renameable or the branch
-            // could never resolve.
-            v.wrong_path[i] = th.wrong_path_mode && th.unresolved_mispredict.is_some();
             v.pending_l2[i] = th.pending_l2();
             v.earliest_l2_start[i] = th.earliest_l2_start();
             for c in 0..self.cfg.num_clusters {

@@ -3,79 +3,87 @@
 //!
 //! * [`HillClimb`] — learning-based partitioning in the spirit of Choi &
 //!   Yeung \[32\]: per-thread, per-cluster issue-queue caps are perturbed
-//!   every epoch and the perturbation is kept only if measured throughput
-//!   improved.
-//! * [`RoundRobin`] — a deliberately naive rename selection baseline,
-//!   useful for calibrating how much Icount itself buys.
+//!   every feedback epoch and the perturbation is kept only if measured
+//!   throughput did not drop.
+//! * [`Dcra`] — DCRA-style fast/slow thread classification (Cazorla et
+//!   al. \[30\]).
 //!
 //! These are not part of the paper's evaluated grid (`SchemeKind`); build
 //! them directly and pass them to
 //! [`SimBuilder::iq_scheme_custom`](crate::SimBuilder::iq_scheme_custom).
 
-use super::{IqScheme, SchedView, MAX_THREADS};
+use super::{EpochStats, IqScheme, SchedView, SteeredCaps, MAX_THREADS};
 use csmt_types::{ClusterId, MachineConfig, SchemeKind, ThreadId, MAX_CLUSTERS};
+
+/// Entries a hill-climbing move always leaves the shrinking thread in its
+/// cluster: a move that would take a cap below this is skipped.
+pub const HILL_CLIMB_FLOOR: usize = 4;
 
 /// Hill-climbing issue-queue partitioning.
 ///
-/// State: one cap per (thread, cluster), initialized to an even split.
-/// Every `epoch` selection calls the scheme samples aggregate progress
-/// (total rename-to-issue drain is not observable here, so the proxy is
-/// the *sum of issue-queue occupancies*, which the scheme wants LOW for a
-/// given dispatch rate); if the last perturbation made things worse, it is
-/// reverted and the next candidate direction is tried.
+/// State: one cap per live (thread, cluster), initialized to an even
+/// `iq_per_cluster / num_threads` split. The scheme runs on the
+/// perf-counter feedback layer: at every epoch boundary it scores the
+/// closed window by the uops committed across live threads (higher is
+/// better). If the last perturbation lowered the score it is reverted;
+/// then the next candidate move is tried. Moves cycle over the live
+/// (thread, cluster) pairs and shift `iq_per_cluster / 8` entries from the
+/// next thread to this one in the same cluster, so each cluster's cap sum
+/// stays at its initial value. A one-thread machine never moves.
 pub struct HillClimb {
     caps: [[usize; MAX_CLUSTERS]; MAX_THREADS],
-    capacity: usize,
-    epoch: u64,
-    tick: u64,
-    /// Accumulated occupancy this epoch (lower is better at equal load).
-    acc: u64,
-    last_score: f64,
-    /// Which (thread, cluster) the last perturbation grew.
-    last_move: Option<(usize, usize, isize)>,
+    /// Committed uops of the last epoch window.
+    last_score: u64,
+    /// The (thread, cluster) the last perturbation grew.
+    last_move: Option<(usize, usize)>,
     step: usize,
+    /// Next candidate move, in `0..num_threads * num_clusters`.
     rr: usize,
+    /// Largest cap any thread can reach: no move takes a cap below
+    /// `min(share, HILL_CLIMB_FLOOR)`, so one thread holds at most the
+    /// cluster's sum minus that much for every other live thread.
+    max_cap: usize,
+    num_threads: usize,
+    num_clusters: usize,
 }
 
 impl HillClimb {
     pub fn new(cfg: &MachineConfig) -> Self {
-        let half = cfg.iq_per_cluster / 2;
+        let n = cfg.num_threads;
+        let share = cfg.iq_per_cluster / n;
         HillClimb {
-            caps: [[half; MAX_CLUSTERS]; MAX_THREADS],
-            capacity: cfg.iq_per_cluster,
-            epoch: 2048,
-            tick: 0,
-            acc: 0,
-            last_score: f64::INFINITY,
+            caps: [[share; MAX_CLUSTERS]; MAX_THREADS],
+            last_score: 0,
             last_move: None,
             step: cfg.iq_per_cluster / 8,
             rr: 0,
+            max_cap: n * share - (n - 1) * share.min(HILL_CLIMB_FLOOR),
+            num_threads: n,
+            num_clusters: cfg.num_clusters,
         }
     }
 
     fn perturb(&mut self) {
-        // Candidate moves cycle over (thread, cluster) pairs: grow that
-        // thread's cap by `step`, shrinking the next thread's cap in the
-        // same cluster to keep the sum ≤ capacity.
-        let t = self.rr % MAX_THREADS;
-        let c = (self.rr / MAX_THREADS) % MAX_CLUSTERS;
-        self.rr += 1;
-        let other = (t + 1) % MAX_THREADS;
-        let step = self.step;
-        if self.caps[other][c] >= step + 4 {
-            self.caps[t][c] = (self.caps[t][c] + step).min(self.capacity);
-            self.caps[other][c] -= step;
-            self.last_move = Some((t, c, step as isize));
-        } else {
-            self.last_move = None;
+        self.last_move = None;
+        let n = self.num_threads;
+        if n == 1 {
+            return;
+        }
+        let (t, c) = (self.rr % n, self.rr / n);
+        self.rr = (self.rr + 1) % (n * self.num_clusters);
+        let other = (t + 1) % n;
+        if self.caps[other][c] >= self.step + HILL_CLIMB_FLOOR {
+            self.caps[t][c] += self.step;
+            self.caps[other][c] -= self.step;
+            self.last_move = Some((t, c));
         }
     }
 
     fn revert(&mut self) {
-        if let Some((t, c, step)) = self.last_move.take() {
-            let other = (t + 1) % MAX_THREADS;
-            self.caps[t][c] = (self.caps[t][c] as isize - step) as usize;
-            self.caps[other][c] = (self.caps[other][c] as isize + step) as usize;
+        if let Some((t, c)) = self.last_move.take() {
+            let other = (t + 1) % self.num_threads;
+            self.caps[t][c] -= self.step;
+            self.caps[other][c] += self.step;
         }
     }
 
@@ -92,73 +100,28 @@ impl IqScheme for HillClimb {
         SchemeKind::Cssp
     }
 
-    fn select_rename_thread(&mut self, view: &SchedView) -> Option<ThreadId> {
-        // Epoch accounting piggybacks on the once-per-cycle selection call.
-        self.tick += 1;
-        self.acc += (0..view.num_threads)
-            .map(|t| view.total_occ(ThreadId(t as u8)))
-            .sum::<usize>() as u64;
-        if self.tick.is_multiple_of(self.epoch) {
-            let score = self.acc as f64 / self.epoch as f64;
-            self.acc = 0;
-            if score > self.last_score {
-                self.revert();
-            }
-            self.last_score = score;
-            self.perturb();
-        }
-        // Icount-style selection under the current caps.
-        let mut best: Option<(usize, ThreadId)> = None;
-        for k in 0..MAX_THREADS {
-            let i = (k + view.scan_rotation) % MAX_THREADS;
-            if !view.active[i] || view.fetchq_len[i] == 0 {
-                continue;
-            }
-            let count = view.rename_to_issue[i];
-            if best.is_none_or(|(c, _)| count < c) {
-                best = Some((count, ThreadId(i as u8)));
-            }
-        }
-        best.map(|(_, t)| t)
-    }
-
     fn headroom(&self, t: ThreadId, c: ClusterId, view: &SchedView) -> usize {
         self.caps[t.idx()][c.idx()].saturating_sub(view.iq_occ[t.idx()][c.idx()])
     }
-}
 
-/// Round-robin rename selection with no occupancy policy: the "no scheme"
-/// control.
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoundRobin {
-    pub fn new() -> Self {
-        RoundRobin { next: 0 }
-    }
-}
-
-impl Default for RoundRobin {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IqScheme for RoundRobin {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Icount // closest reporting family
-    }
-
-    fn select_rename_thread(&mut self, view: &SchedView) -> Option<ThreadId> {
-        for k in 0..MAX_THREADS {
-            let i = (self.next + k) % MAX_THREADS;
-            if view.active[i] && view.fetchq_len[i] > 0 {
-                self.next = (i + 1) % MAX_THREADS;
-                return Some(ThreadId(i as u8));
-            }
+    fn steered_caps(&self) -> SteeredCaps {
+        SteeredCaps {
+            per_cluster: Some(self.max_cap),
+            ..Default::default()
         }
-        None
+    }
+
+    fn wants_feedback(&self) -> bool {
+        true
+    }
+
+    fn observe_epoch(&mut self, ep: &EpochStats) {
+        let score: u64 = ep.committed[..self.num_threads].iter().sum();
+        if score < self.last_score {
+            self.revert();
+        }
+        self.last_score = score;
+        self.perturb();
     }
 }
 
@@ -166,7 +129,7 @@ impl IqScheme for RoundRobin {
 mod tests {
     use super::*;
 
-    fn view(occ: [[usize; 2]; 2], fq: [usize; 2]) -> SchedView {
+    fn view(occ: [[usize; 2]; 2]) -> SchedView {
         let mut v = SchedView {
             iq_capacity: 32,
             earliest_l2_start: [u64::MAX; MAX_THREADS],
@@ -175,10 +138,19 @@ mod tests {
         for t in 0..2 {
             v.iq_occ[t][..2].copy_from_slice(&occ[t]);
             v.rename_to_issue[t] = occ[t][0] + occ[t][1];
-            v.fetchq_len[t] = fq[t];
+            v.fetchq_len[t] = 1;
             v.active[t] = true;
         }
         v
+    }
+
+    /// A closed 2×2 feedback window in which each thread committed
+    /// `committed` uops.
+    fn epoch(committed: u64) -> EpochStats {
+        let mut ep = EpochStats::zeroed(2, 2);
+        ep.cycles = 1024;
+        ep.committed[..2].fill(committed);
+        ep
     }
 
     #[test]
@@ -189,12 +161,13 @@ mod tests {
                 assert_eq!(h.cap(ThreadId(t), ClusterId(c)), 16);
             }
         }
+        assert!(h.wants_feedback());
     }
 
     #[test]
     fn hill_climb_caps_enforced_via_headroom() {
         let h = HillClimb::new(&MachineConfig::baseline());
-        let v = view([[16, 0], [0, 0]], [1, 1]);
+        let v = view([[16, 0], [0, 0]]);
         assert_eq!(h.headroom(ThreadId(0), ClusterId(0), &v), 0);
         assert_eq!(h.headroom(ThreadId(0), ClusterId(1), &v), 16);
         assert!(!h.allows(ThreadId(0), ClusterId(0), &v));
@@ -203,35 +176,43 @@ mod tests {
     #[test]
     fn hill_climb_perturbs_after_epoch() {
         let mut h = HillClimb::new(&MachineConfig::baseline());
-        let v = view([[4, 4], [4, 4]], [1, 1]);
         let before = h.caps;
-        for _ in 0..2048 {
-            h.select_rename_thread(&v);
-        }
+        h.observe_epoch(&epoch(500));
         assert_ne!(h.caps, before, "an epoch boundary must perturb the caps");
-        // Per-cluster sums never exceed capacity.
-        for c in 0..2 {
-            assert!(h.caps[0][c] + h.caps[1][c] <= 32 + 16);
+        // Rising, falling and flat windows: per-cluster sums never exceed
+        // capacity.
+        for committed in [600, 400, 400, 700, 100, 100, 900] {
+            h.observe_epoch(&epoch(committed));
+            for c in 0..2 {
+                assert!(h.caps[0][c] + h.caps[1][c] <= 32);
+            }
         }
     }
 
     #[test]
-    fn round_robin_alternates() {
-        let mut s = RoundRobin::new();
-        let v = view([[0, 0], [0, 0]], [1, 1]);
-        let a = s.select_rename_thread(&v).unwrap();
-        let b = s.select_rename_thread(&v).unwrap();
-        assert_ne!(a, b);
-        let c = s.select_rename_thread(&v).unwrap();
-        assert_eq!(a, c);
+    fn hill_climb_reverts_a_move_that_lowered_throughput() {
+        let mut h = HillClimb::new(&MachineConfig::baseline());
+        h.observe_epoch(&epoch(500));
+        assert_eq!((h.caps[0][0], h.caps[1][0]), (20, 12));
+        // Worse window: the (t0, c0) move is undone before thread 1 tries
+        // its own move in cluster 0.
+        h.observe_epoch(&epoch(400));
+        assert_eq!((h.caps[0][0], h.caps[1][0]), (12, 20));
     }
 
     #[test]
-    fn round_robin_skips_empty_queue() {
-        let mut s = RoundRobin::new();
-        let v = view([[0, 0], [0, 0]], [0, 3]);
-        assert_eq!(s.select_rename_thread(&v), Some(ThreadId(1)));
-        assert_eq!(s.select_rename_thread(&v), Some(ThreadId(1)));
+    fn hill_climb_never_moves_on_one_thread() {
+        let mut cfg = MachineConfig::baseline();
+        cfg.num_threads = 1;
+        let mut h = HillClimb::new(&cfg);
+        for committed in [500, 100, 900] {
+            let mut ep = EpochStats::zeroed(1, 2);
+            ep.committed[0] = committed;
+            h.observe_epoch(&ep);
+            for c in 0..2 {
+                assert_eq!(h.cap(ThreadId(0), ClusterId(c)), 32);
+            }
+        }
     }
 }
 
@@ -331,91 +312,5 @@ mod dcra_tests {
         // Thread 0 slow (cap 8 < 10 used → no headroom), thread 1 fast.
         assert_eq!(d.headroom(ThreadId(0), ClusterId(0), &v), 0);
         assert_eq!(d.headroom(ThreadId(1), ClusterId(0), &v), 14);
-    }
-}
-
-/// Wrong-path rename gating, in the spirit of El-Moursy & Albonesi's
-/// front-end policies \[20\] (low-confidence fetch gating): a thread that
-/// is currently fetching down a mispredicted branch's wrong path will have
-/// everything it renames squashed, so giving it rename slots and issue
-/// queue entries only steals them from its partner. The gate holds the
-/// thread at rename until the branch resolves; selection is Icount
-/// otherwise. (A real front-end uses a confidence estimator; the
-/// trace-driven front-end knows outcomes exactly, making this the
-/// upper-bound "perfect confidence" variant.)
-pub struct BranchGate;
-
-impl IqScheme for BranchGate {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Icount // reporting family
-    }
-
-    fn thread_stalled(&self, t: ThreadId, view: &SchedView) -> bool {
-        view.wrong_path[t.idx()]
-    }
-}
-
-#[cfg(test)]
-mod gate_tests {
-    use super::*;
-
-    fn view() -> SchedView {
-        let mut v = SchedView {
-            iq_capacity: 32,
-            earliest_l2_start: [u64::MAX; MAX_THREADS],
-            ..Default::default()
-        };
-        for t in 0..2 {
-            v.active[t] = true;
-            v.fetchq_len[t] = 4;
-        }
-        v
-    }
-
-    #[test]
-    fn gates_wrong_path_thread() {
-        let g = BranchGate;
-        let mut v = view();
-        v.wrong_path[0] = true;
-        assert!(g.thread_stalled(ThreadId(0), &v));
-        assert!(!g.thread_stalled(ThreadId(1), &v));
-    }
-
-    #[test]
-    fn selection_skips_wrong_path_thread() {
-        let mut g = BranchGate;
-        let mut v = view();
-        v.wrong_path[0] = true;
-        v.rename_to_issue[1] = 20;
-        v.iq_occ[1][0] = 20;
-        // Thread 0 has the lower count but is on a wrong path → skip.
-        assert_eq!(g.select_rename_thread(&v), Some(ThreadId(1)));
-        v.wrong_path[0] = false;
-        assert_eq!(g.select_rename_thread(&v), Some(ThreadId(0)));
-    }
-
-    #[test]
-    fn end_to_end_gating_still_completes() {
-        use csmt_trace::profile::{category_base, TraceClass};
-        use csmt_trace::suite::TraceSpec;
-        let traces = vec![
-            TraceSpec {
-                profile: category_base("office").variant(TraceClass::Ilp),
-                seed: 3,
-            },
-            TraceSpec {
-                profile: category_base("ISPEC00").variant(TraceClass::Ilp),
-                seed: 4,
-            },
-        ];
-        let mut builder = crate::SimBuilder::new(MachineConfig::baseline())
-            .iq_scheme_custom(Box::new(BranchGate))
-            .warmup(500)
-            .commit_target(1500);
-        for t in traces {
-            builder = builder.push_trace(t);
-        }
-        let r = builder.run();
-        assert!(r.stats.committed[0] >= 1500 && r.stats.committed[1] >= 1500);
     }
 }

@@ -15,7 +15,7 @@ mod iq;
 mod rf;
 
 pub use adaptive::{Caiq, Carf, CAIQ_CAP_FLOOR};
-pub use ext::{BranchGate, Dcra, HillClimb, RoundRobin};
+pub use ext::{Dcra, HillClimb, HILL_CLIMB_FLOOR};
 pub use iq::*;
 pub use rf::*;
 
@@ -48,9 +48,6 @@ pub struct SchedView {
     pub fetchq_len: [usize; MAX_THREADS],
     /// Which thread contexts are running.
     pub active: [bool; MAX_THREADS],
-    /// Thread is currently fetching down a mispredicted branch's wrong
-    /// path (everything it renames will be squashed).
-    pub wrong_path: [bool; MAX_THREADS],
     /// Rename-scan rotation for this cycle, cycling through
     /// `0..num_threads`: the thread index the selection scan starts from,
     /// so no thread is structurally favored when counts are equal. (On
@@ -75,7 +72,6 @@ impl Default for SchedView {
             earliest_l2_start: [0; MAX_THREADS],
             fetchq_len: [0; MAX_THREADS],
             active: [false; MAX_THREADS],
-            wrong_path: [false; MAX_THREADS],
             scan_rotation: 0,
             num_threads: 2,
             num_clusters: 2,

@@ -8,6 +8,24 @@ use crate::runner::{CfgKind, Sweeps};
 use csmt_trace::suite;
 use csmt_types::{RegFileSchemeKind, SchemeKind};
 
+/// Workloads of the fig2 slice — one per suite region, stable names. The
+/// golden fixtures and the sampling-equivalence tests pin this slice.
+pub const SLICE_WORKLOADS: [&str; 4] = [
+    "DH/ilp.2.1",
+    "multimedia/mix.2.1",
+    "ISPEC-FSPEC/mix.2.1",
+    "mixes/mix.2.3",
+];
+
+/// Scheme/IQ-size combos of the fig2 slice (all with the shared RF, as in
+/// Figure 2's IQ study); a subset of [`combos`].
+pub const SLICE_COMBOS: [(SchemeKind, usize); 4] = [
+    (SchemeKind::Icount, 32),
+    (SchemeKind::FlushPlus, 32),
+    (SchemeKind::Cssp, 32),
+    (SchemeKind::Cssp, 64),
+];
+
 /// The (scheme, iq-size) grid of Figure 2.
 pub fn combos() -> Vec<(SchemeKind, usize)> {
     let mut v = Vec::new();

@@ -1,6 +1,6 @@
 //! One module per reproduced artifact. Every module exposes
-//! `run(&Sweeps) -> Table` so the CLI, the integration tests and the
-//! Criterion benches share one code path.
+//! `run(&Sweeps) -> Table` so the CLI, the sweep service and the
+//! integration tests share one code path.
 
 pub mod ablations;
 pub mod ci;

@@ -20,7 +20,6 @@
 
 #![allow(clippy::needless_range_loop)]
 
-pub mod bench;
 pub mod client;
 pub mod figures;
 pub mod fuzz;

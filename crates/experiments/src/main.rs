@@ -7,8 +7,6 @@
 //!                                [--bars]
 //! csmt-experiments all [--target N]
 //! csmt-experiments compare <a.json> <b.json> [tolerance]
-//! csmt-experiments bench [--quick] [--jobs N] [--out FILE] [--baseline FILE]
-//!                        [--max-regression PCT]
 //! csmt-experiments fuzz [--seeds N] [--seed S] [--jobs N] [--batch]
 //!                       [--no-validate] [--out DIR] [--repro FILE]
 //! ```
@@ -71,9 +69,6 @@ fn usage() -> String {
          \x20                (read-only checks; implies --no-store)\n\
          \n\
          csmt-experiments compare <a.json> <b.json> [tolerance]  (artifact drift check)\n\
-         csmt-experiments bench [--quick] [--jobs N] [--out FILE] [--baseline FILE] [--max-regression PCT]\n\
-         \x20                      [--pair-before FILE --pair-out FILE] (needs the csmt-serve binary built)\n\
-         \x20                                                       (perf harness; gate vs baseline)\n\
          csmt-experiments fuzz [--seeds N] [--seed S] [--jobs N] [--batch] [--no-validate] [--out DIR] [--repro FILE]\n\
          \x20                                                       (randomized scheme fuzzing; shrunk repros)\n\
          csmt-experiments client (--socket PATH | --connect HOST:PORT) <artifact>... [--target N]\n\
@@ -205,11 +200,6 @@ fn main() {
         compare(&args[1..]);
         return;
     }
-    // `bench` is a standalone subcommand: perf harness, no store.
-    if args.first().map(String::as_str) == Some("bench") {
-        bench_cmd(&args[1..]);
-        return;
-    }
     // `fuzz` is a standalone subcommand: randomized invariant fuzzing.
     if args.first().map(String::as_str) == Some("fuzz") {
         fuzz_cmd(&args[1..]);
@@ -304,112 +294,6 @@ fn main() {
         });
     }
     eprint!("{}", render_store_summary(&sweeps.counters()));
-}
-
-/// `bench [--quick] [--jobs N] [--out FILE] [--baseline FILE]
-/// [--max-regression PCT] [--pair-before FILE --pair-out FILE]`: run the
-/// fixed perf harness, optionally write the JSON report and gate against
-/// a committed baseline (exit 1 on regression). `--jobs` sets the worker
-/// count of the `fig2-sweep` measurement (0/omitted = min(cores, 8));
-/// the other measurements are single-threaded by construction.
-/// `--pair-before`/`--pair-out` write a committed `BENCH_<n>.json`
-/// payload: the given baseline file as the before half, this run as the
-/// after half, speedups computed per measurement.
-fn bench_cmd(args: &[String]) {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut pair_before: Option<String> = None;
-    let mut pair_out: Option<String> = None;
-    let mut max_regression = 0.20f64;
-    let mut verbose = true;
-    let mut jobs = 0usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--quiet" => verbose = false,
-            "--jobs" => jobs = positive_int_or_die("--jobs", it.next()) as usize,
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => fail("--out needs a file"),
-            },
-            "--pair-before" => match it.next() {
-                Some(v) => pair_before = Some(v.clone()),
-                None => fail("--pair-before needs a file"),
-            },
-            "--pair-out" => match it.next() {
-                Some(v) => pair_out = Some(v.clone()),
-                None => fail("--pair-out needs a file"),
-            },
-            "--baseline" => match it.next() {
-                Some(v) => baseline = Some(v.clone()),
-                None => fail("--baseline needs a file"),
-            },
-            "--max-regression" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--max-regression needs a percentage"));
-                match v.parse::<f64>() {
-                    Ok(pct) if pct > 0.0 && pct < 100.0 => max_regression = pct / 100.0,
-                    _ => fail(&format!(
-                        "--max-regression needs a percentage in (0, 100), got '{v}'"
-                    )),
-                }
-            }
-            other => fail(&format!("unknown bench flag: {other}")),
-        }
-    }
-    let scale = if quick {
-        csmt_experiments::bench::QUICK_SCALE
-    } else {
-        csmt_experiments::bench::FULL_SCALE
-    };
-    let report = csmt_experiments::bench::run(scale, quick, verbose, jobs);
-    print!("{}", csmt_experiments::bench::render(&report));
-    if let Some(path) = &out {
-        let text = serde_json::to_string_pretty(&report).expect("bench report serializes");
-        if let Err(e) = std::fs::write(path, text + "\n") {
-            fail(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-    }
-    match (&pair_before, &pair_out) {
-        (Some(bpath), Some(opath)) => {
-            let text = std::fs::read_to_string(bpath)
-                .unwrap_or_else(|e| fail(&format!("cannot read {bpath}: {e}")));
-            let before = csmt_experiments::bench::parse_report(&text)
-                .unwrap_or_else(|e| fail(&format!("cannot parse {bpath}: {e}")));
-            let pair = csmt_experiments::bench::perf_baseline(before, report.clone());
-            let text = serde_json::to_string_pretty(&pair).expect("perf baseline serializes");
-            if let Err(e) = std::fs::write(opath, text + "\n") {
-                fail(&format!("cannot write {opath}: {e}"));
-            }
-            eprintln!("wrote {opath}");
-        }
-        (None, None) => {}
-        _ => fail("--pair-before and --pair-out go together"),
-    }
-    if let Some(path) = &baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
-        match csmt_experiments::bench::check_against_baseline(&report, &text, max_regression) {
-            Ok(failures) if failures.is_empty() => {
-                println!(
-                    "OK: within {:.0}% of baseline {path}",
-                    max_regression * 100.0
-                );
-            }
-            Ok(failures) => {
-                println!("perf regression vs baseline {path}:");
-                for f in &failures {
-                    println!("  {f}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => fail(&format!("cannot compare against {path}: {e}")),
-        }
-    }
 }
 
 /// `fuzz [--seeds N] [--seed S] [--jobs N] [--batch] [--no-validate]

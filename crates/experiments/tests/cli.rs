@@ -233,6 +233,7 @@ fn bad_flags_fail_fast_with_usage() {
         (vec!["fig2", "--target", "lots"], "positive integer"),
         (vec!["fig2", "--target", "0"], "positive integer"),
         (vec!["fig99"], "unknown artifact: fig99"),
+        (vec!["bench"], "unknown artifact: bench"),
         (vec!["fig2", "--frobnicate"], "unknown flag"),
         (vec![], "no artifact named"),
         (vec!["fig2", "--no-store", "--resume"], "--resume"),

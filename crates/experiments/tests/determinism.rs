@@ -5,8 +5,7 @@
 //! metrics, not approximate closeness.
 
 use csmt_core::Simulator;
-use csmt_experiments::bench::SLICE_WORKLOADS;
-use csmt_experiments::figures::fig2;
+use csmt_experiments::figures::fig2::{self, SLICE_WORKLOADS};
 use csmt_experiments::runner::{CfgKind, ExpOptions, Sweeps};
 use csmt_trace::suite::{suite, Workload};
 use csmt_types::{MachineConfig, RegFileSchemeKind, SchemeKind};
@@ -50,7 +49,7 @@ fn same_run_twice_is_byte_identical() {
     }
 }
 
-/// The fig2 AVG-row computation over the bench slice workloads must not
+/// The fig2 AVG-row computation over the fig2 slice workloads must not
 /// depend on the worker count: `--jobs 1` and `--jobs 4` must give
 /// byte-identical results for every run in the grid and for the AVG row
 /// itself. Catches work-stealing/scheduling nondeterminism in the

@@ -357,8 +357,11 @@ impl Server {
                     )?;
                 }
                 Request::Shutdown => {
+                    // Answer before draining: an idle daemon stops at
+                    // once, and its process can exit before a later write.
+                    let answered = write_line(&mut writer, &Response::ShuttingDown);
                     self.dispatch(Input::Shutdown);
-                    write_line(&mut writer, &Response::ShuttingDown)?;
+                    answered?;
                 }
             }
         }

@@ -1,11 +1,10 @@
 //! Compare the paper's schemes against the extensions its conclusion names
-//! as future work: hill-climbing partitioning (Choi & Yeung), DCRA-style
-//! fast/slow classification (Cazorla et al.), perfect-confidence branch
-//! gating (El-Moursy & Albonesi), and a round-robin control.
+//! as future work: hill-climbing partitioning (Choi & Yeung) and DCRA-style
+//! fast/slow classification (Cazorla et al.).
 //!
 //! Run with: `cargo run --release --example extensions_study`
 
-use clustered_smt::core::schemes::{BranchGate, Dcra, HillClimb, RoundRobin};
+use clustered_smt::core::schemes::{Dcra, HillClimb};
 use clustered_smt::core::IqScheme;
 use clustered_smt::prelude::*;
 
@@ -29,10 +28,6 @@ fn main() {
     type Mk = Box<dyn Fn(&MachineConfig) -> Box<dyn IqScheme>>;
     let schemes: Vec<(&str, Mk)> = vec![
         (
-            "RoundRobin (control)",
-            Box::new(|_| Box::new(RoundRobin::new())),
-        ),
-        (
             "Icount (paper base)",
             Box::new(|_| Box::new(clustered_smt::core::schemes::Icount)),
         ),
@@ -45,7 +40,6 @@ fn main() {
             Box::new(|cfg| Box::new(HillClimb::new(cfg))),
         ),
         ("DCRA-style (ext)", Box::new(|cfg| Box::new(Dcra::new(cfg)))),
-        ("BranchGate (ext)", Box::new(|_| Box::new(BranchGate))),
     ];
 
     for (label, mk) in &schemes {

@@ -7,7 +7,7 @@
 //!   IQ and RF schemes. Any change to event ordering, resource accounting
 //!   or the cycle loop shows up here as a byte-level diff.
 //! * `fig_headline.json` — the fig2 (throughput speedup vs Icount@32) and
-//!   fig3 (copies per retired uop) headline values over the bench slice
+//!   fig3 (copies per retired uop) headline values over the fig2 slice
 //!   workloads, i.e. a reduced-scale AVG row of the paper's figures. This
 //!   is what keeps the EXPERIMENTS.md claims (CSSP ×1.126, CDPRF ×1.125)
 //!   from silently drifting: a simulator change that alters the figures
@@ -16,7 +16,7 @@
 //! Regenerate intentionally with `CSMT_BLESS=1 cargo test --test
 //! golden_snapshots` and review the diff like any other code change.
 
-use clustered_smt::experiments::bench::{SLICE_COMBOS, SLICE_WORKLOADS};
+use clustered_smt::experiments::figures::fig2::{SLICE_COMBOS, SLICE_WORKLOADS};
 use clustered_smt::prelude::*;
 use serde::{Deserialize, Serialize};
 

@@ -6,8 +6,8 @@
 //!
 //! 1. the sampled throughput estimate lands within its own reported 95%
 //!    confidence interval (modestly widened, see below) of the full-run
-//!    golden value, for the fig2-slice configs the bench harness also
-//!    tracks;
+//!    golden value, for the fig2-slice configs the golden fixtures also
+//!    pin;
 //! 2. the reported half-width shrinks as the interval count grows —
 //!    more sampling genuinely buys a tighter error bar;
 //! 3. sampled runs are deterministic: same spec, same bytes.
@@ -23,7 +23,7 @@
 //! honest enough not to flake on the bias the CI provably cannot model.
 
 use csmt_core::Simulator;
-use csmt_experiments::bench::{SLICE_COMBOS, SLICE_WORKLOADS};
+use csmt_experiments::figures::fig2::{SLICE_COMBOS, SLICE_WORKLOADS};
 use csmt_experiments::sample::{self, SampleStats};
 use csmt_trace::suite::{suite, Workload};
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind};
