@@ -3,12 +3,15 @@
 //!
 //! A [`Checkpoint`] captures the *architectural* state of a machine after
 //! each thread has committed exactly `offset` correct-path uops: the trace
-//! specs (from which the architected register values and the fetch stream
-//! are pure functions), the per-thread fetch-stream cursor (`offset`
-//! itself — squashed correct-path uops are refetched from the replay
+//! specs (from which the architected register values and the program are
+//! pure functions), the per-thread trace-generator cursor at that offset
+//! (a [`TraceCursor`]: PRNG states, block position, stream and cold-burst
+//! state — squashed correct-path uops are refetched from the replay
 //! buffer, never by rewinding the source, so the source position after K
 //! commits is exactly K), and a bounded summary of the memory lines the
 //! skipped execution touched most recently (to pre-warm the hierarchy).
+//! Restoring resumes each thread's generator from its cursor, so no
+//! prefix is regenerated and no decoded stream is retained.
 //!
 //! What it deliberately does **not** capture is microarchitectural state:
 //! cache tags, predictor tables, queue occupancies. Those are
@@ -29,11 +32,11 @@
 //! path and the validation path cannot drift apart.
 
 use csmt_trace::suite::TraceSpec;
-use csmt_trace::{ThreadOracle, WarmFootprint};
+use csmt_trace::{ThreadOracle, TraceCursor, WarmFootprint};
 use serde::{Deserialize, Serialize};
 
 /// Bump when the checkpoint layout changes incompatibly.
-pub const CHECKPOINT_SCHEMA: u32 = 1;
+pub const CHECKPOINT_SCHEMA: u32 = 2;
 
 /// One thread's slice of a checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,6 +47,9 @@ pub struct ThreadCheckpoint {
     /// Architectural commit offset: correct-path uops committed before
     /// the resume point.
     pub offset: u64,
+    /// The trace generator's position after `offset` uops; a restore
+    /// resumes the stream from it.
+    pub cursor: TraceCursor,
     /// Most recently touched 64-byte line addresses during the skipped
     /// region, oldest first, bounded (see [`WarmFootprint`]).
     pub warm_lines: Vec<u64>,
@@ -89,8 +95,8 @@ impl Checkpoint {
             offsets.windows(2).all(|w| w[0] <= w[1]),
             "capture_many offsets must be non-decreasing"
         );
-        // thread -> offset index -> warm-line snapshot.
-        let snapshots: Vec<Vec<Vec<u64>>> = specs
+        // thread -> offset index -> (cursor, warm-line) snapshot.
+        let mut snapshots: Vec<std::vec::IntoIter<(TraceCursor, Vec<u64>)>> = specs
             .iter()
             .map(|spec| {
                 let mut oracle = ThreadOracle::from_spec(spec);
@@ -99,23 +105,28 @@ impl Checkpoint {
                     .iter()
                     .map(|&off| {
                         oracle.fast_forward(off - oracle.committed(), &mut fp);
-                        fp.recent_lines()
+                        (oracle.cursor(), fp.recent_lines())
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
+                    .into_iter()
             })
             .collect();
         offsets
             .iter()
-            .enumerate()
-            .map(|(i, &off)| {
+            .map(|&off| {
                 Checkpoint::sealed(
                     specs
                         .iter()
-                        .zip(&snapshots)
-                        .map(|(spec, snaps)| ThreadCheckpoint {
-                            spec: spec.clone(),
-                            offset: off,
-                            warm_lines: snaps[i].clone(),
+                        .zip(&mut snapshots)
+                        .map(|(spec, snaps)| {
+                            let (cursor, warm_lines) =
+                                snaps.next().expect("one snapshot per offset");
+                            ThreadCheckpoint {
+                                spec: spec.clone(),
+                                offset: off,
+                                cursor,
+                                warm_lines,
+                            }
                         })
                         .collect(),
                 )
@@ -260,6 +271,33 @@ mod tests {
             &bad,
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_verified_checkpoint_whose_cursor_does_not_fit_is_refused() {
+        use crate::Simulator;
+        use csmt_types::{MachineConfig, RegFileSchemeKind, SchemeKind};
+        let restore = |edit: &dyn Fn(&mut Checkpoint)| {
+            let mut ck = Checkpoint::capture(&specs(), 2_000);
+            edit(&mut ck);
+            ck.checksum = ck.content_hash();
+            ck.verify().unwrap();
+            Simulator::from_checkpoint(
+                MachineConfig::baseline(),
+                SchemeKind::Cssp,
+                RegFileSchemeKind::Shared,
+                &ck,
+            )
+            .map(|_| ())
+        };
+        assert_eq!(restore(&|_| {}), Ok(()));
+        let err = restore(&|ck| ck.threads[1].cursor.block = u32::MAX).unwrap_err();
+        assert!(err.contains("thread 1") && err.contains("block"), "{err}");
+        let err = restore(&|ck| ck.threads[0].cursor.program ^= 1).unwrap_err();
+        assert!(err.contains("program"), "{err}");
+        // Offset and cursor must name the same position.
+        let err = restore(&|ck| ck.threads[0].offset += 1).unwrap_err();
+        assert!(err.contains("offset"), "{err}");
     }
 
     #[test]

@@ -551,8 +551,8 @@ pub(crate) struct L2Miss {
 /// one decoded stream). Both yield the identical stream — it is a pure
 /// function of `(profile, seed)`.
 pub(crate) enum TraceSource {
-    /// Boxed: the generator carries the full synthesized program and
-    /// would dominate the variant size otherwise.
+    /// Boxed: the generator's PRNG, stream and dependency state would
+    /// dominate the variant size otherwise.
     Live(Box<ThreadTrace>),
     Shared(StreamReader),
 }
@@ -563,23 +563,6 @@ impl TraceSource {
         match self {
             TraceSource::Live(t) => t.next_uop(),
             TraceSource::Shared(r) => r.next_uop(),
-        }
-    }
-
-    /// Advance `n` uops without delivering them (checkpoint restore).
-    /// A live generator replays forward; a shared-stream reader seeks,
-    /// so repeated restores of the same stream generate the prefix once.
-    pub fn skip(&mut self, n: u64) {
-        match self {
-            TraceSource::Live(t) => {
-                for _ in 0..n {
-                    t.next_uop();
-                }
-            }
-            TraceSource::Shared(r) => {
-                let pos = r.emitted() + n;
-                r.seek(pos);
-            }
         }
     }
 
@@ -638,6 +621,28 @@ impl ThreadCtx {
             .map(|m| m.started)
             .min()
             .unwrap_or(u64::MAX)
+    }
+}
+
+/// Batched construction takes one shared stream per trace spec, decoded
+/// from that very spec.
+fn check_streams(traces: &[TraceSpec], streams: &[Arc<SharedStream>]) {
+    assert_eq!(
+        streams.len(),
+        traces.len(),
+        "one shared stream per trace spec"
+    );
+    for (spec, s) in traces.iter().zip(streams) {
+        assert_eq!(
+            s.profile().name,
+            spec.profile.name,
+            "shared stream built from a different profile"
+        );
+        assert_eq!(
+            s.seed(),
+            spec.seed,
+            "shared stream built from a different seed"
+        );
     }
 }
 
@@ -745,23 +750,7 @@ impl Simulator {
         traces: &[TraceSpec],
         streams: &[Arc<SharedStream>],
     ) -> Self {
-        assert_eq!(
-            streams.len(),
-            traces.len(),
-            "one shared stream per trace spec"
-        );
-        for (spec, s) in traces.iter().zip(streams) {
-            assert_eq!(
-                s.profile().name,
-                spec.profile.name,
-                "shared stream built from a different profile"
-            );
-            assert_eq!(
-                s.seed(),
-                spec.seed,
-                "shared stream built from a different seed"
-            );
-        }
+        check_streams(traces, streams);
         let sources = streams
             .iter()
             .map(|s| TraceSource::Shared(StreamReader::new(s.clone())))
@@ -770,15 +759,19 @@ impl Simulator {
     }
 
     /// Resume detailed simulation from an architectural [`Checkpoint`]:
-    /// verify its integrity, build a fresh machine for its specs, skip
-    /// each thread's trace source to the checkpointed commit offset and
+    /// verify its integrity, build a fresh machine for its specs whose
+    /// trace generators resume from the checkpointed cursors, and
     /// pre-warm the memory hierarchy with the recorded footprint. The
     /// resumed machine is bit-exact: two simulators restored from equal
     /// checkpoints execute identically. Relative to a detailed run from
     /// zero the commit stream is architecturally identical past the
-    /// offset (enforce with [`Simulator::enable_oracle`], which arms the
-    /// replay at the offset); microarchitectural warm state is
-    /// reconstructed by running a warm-up window before measuring.
+    /// offset (enforce with [`Simulator::enable_oracle`], which replays
+    /// from zero to the offset independently of the cursor);
+    /// microarchitectural warm state is reconstructed by running a
+    /// warm-up window before measuring.
+    ///
+    /// A checkpoint that verifies but whose cursor does not fit its
+    /// program (or its offset) is an `Err`, not a panic.
     pub fn from_checkpoint(
         cfg: MachineConfig,
         iq_kind: SchemeKind,
@@ -786,16 +779,18 @@ impl Simulator {
         ckpt: &crate::checkpoint::Checkpoint,
     ) -> Result<Self, String> {
         ckpt.verify()?;
-        let specs = ckpt.specs();
-        let mut sim = Self::new(cfg, iq_kind, rf_kind, &specs);
-        sim.resume_from(ckpt);
-        Ok(sim)
+        let programs = ckpt
+            .threads
+            .iter()
+            .map(|t| Arc::new(Program::synthesize(&t.spec.profile, t.spec.seed)))
+            .collect();
+        Self::restore(cfg, iq_kind, rf_kind, ckpt, programs)
     }
 
-    /// [`Simulator::from_checkpoint`] over pre-decoded shared streams
-    /// (the batched-sweep mode). Seeking a shared stream to the offset
-    /// generates the prefix once per stream, shared by every config
-    /// point and interval that restores from it.
+    /// [`Simulator::from_checkpoint`] for a batched sweep: the programs
+    /// come from the pre-decoded shared streams, so a restore synthesizes
+    /// nothing. The streams themselves are never read — each thread's
+    /// generator resumes privately from its cursor.
     pub fn from_checkpoint_batched(
         cfg: MachineConfig,
         iq_kind: SchemeKind,
@@ -804,30 +799,53 @@ impl Simulator {
         streams: &[Arc<SharedStream>],
     ) -> Result<Self, String> {
         ckpt.verify()?;
-        let specs = ckpt.specs();
-        let mut sim = Self::new_batched(cfg, iq_kind, rf_kind, &specs, streams);
-        sim.resume_from(ckpt);
-        Ok(sim)
+        check_streams(&ckpt.specs(), streams);
+        let programs = streams.iter().map(|s| s.program().clone()).collect();
+        Self::restore(cfg, iq_kind, rf_kind, ckpt, programs)
     }
 
-    fn resume_from(&mut self, ckpt: &crate::checkpoint::Checkpoint) {
+    fn restore(
+        cfg: MachineConfig,
+        iq_kind: SchemeKind,
+        rf_kind: RegFileSchemeKind,
+        ckpt: &crate::checkpoint::Checkpoint,
+        programs: Vec<Arc<Program>>,
+    ) -> Result<Self, String> {
+        let sources = ckpt
+            .threads
+            .iter()
+            .zip(programs)
+            .enumerate()
+            .map(|(i, (tc, program))| {
+                if tc.cursor.emitted != tc.offset {
+                    return Err(format!(
+                        "thread {i}: trace cursor at uop {}, checkpoint offset {}",
+                        tc.cursor.emitted, tc.offset
+                    ));
+                }
+                ThreadTrace::resume(program, &tc.cursor)
+                    .map(|t| TraceSource::Live(Box::new(t)))
+                    .map_err(|e| format!("thread {i}: {e}"))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let mut sim = Self::build(cfg, iq_kind, rf_kind, &ckpt.specs(), sources);
         // Same per-thread warm budget as the cold-start `warm_caches`:
         // half the L2, split between threads.
-        let l2_lines = (self.cfg.l2_size / self.cfg.l1_line) as u64;
-        let n = self.threads.len().max(1) as u64;
+        let l2_lines = (sim.cfg.l2_size / sim.cfg.l1_line) as u64;
+        let n = sim.threads.len().max(1) as u64;
         let per_thread = l2_lines / (2 * n);
         for (i, tc) in ckpt.threads.iter().enumerate() {
-            self.threads[i].trace.skip(tc.offset);
-            self.arch_base[i] = tc.offset;
+            sim.arch_base[i] = tc.offset;
             let mut budget = per_thread;
             // Oldest-first order: the most recently touched lines are
             // warmed last and end up most-recently-used. If the budget
             // is smaller than the footprint, keep the newest lines.
             let keep = (budget as usize).min(tc.warm_lines.len());
             for &line in &tc.warm_lines[tc.warm_lines.len() - keep..] {
-                self.mem.warm(line, 1, true, &mut budget);
+                sim.mem.warm(line, 1, true, &mut budget);
             }
         }
+        Ok(sim)
     }
 
     /// Counter layer for a scheme pair: armed only when a scheme asked

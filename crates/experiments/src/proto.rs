@@ -12,7 +12,7 @@
 
 use crate::spec::JobSpec;
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// What a client can ask.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -118,34 +118,92 @@ pub fn write_line<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()> {
     w.flush()
 }
 
+/// Longest request line the daemon reads, in bytes, newline excluded.
+/// A longer line ends its connection with an `InvalidData` error, so one
+/// client cannot grow daemon memory without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Bytes of an offending line (or parser message) quoted in an error.
+const QUOTE_BYTES: usize = 200;
+
 /// Read the next non-empty line and parse it as a [`Request`]. `None` on
-/// clean EOF; an error names the offending line.
+/// clean EOF. Errors (each ends the connection): `InvalidData` for a line
+/// over [`MAX_REQUEST_LINE`], non-UTF-8 or malformed JSON, and
+/// `UnexpectedEof` for a peer that closed the connection mid-line.
 pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
-    read_parsed(r)
+    read_parsed(r, MAX_REQUEST_LINE)
 }
 
 /// Read the next non-empty line and parse it as a [`Response`]. `None`
-/// on clean EOF.
+/// on clean EOF. Unbounded: a response carries whole rendered tables.
 pub fn read_response(r: &mut impl BufRead) -> io::Result<Option<Response>> {
-    read_parsed(r)
+    read_parsed(r, usize::MAX)
 }
 
-fn read_parsed<T: Deserialize>(r: &mut impl BufRead) -> io::Result<Option<T>> {
+/// At most [`QUOTE_BYTES`] of `text`, cut on a character boundary.
+fn clip(text: &str) -> String {
+    if text.len() <= QUOTE_BYTES {
+        return text.to_string();
+    }
+    let mut end = QUOTE_BYTES;
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}...", &text[..end])
+}
+
+fn read_parsed<T: Deserialize>(r: &mut impl BufRead, limit: usize) -> io::Result<Option<T>> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
+        let mut line = Vec::new();
+        // One byte past the limit tells an oversized line from one that
+        // ends exactly at it (its newline is that byte).
+        let take = (limit as u64).saturating_add(1);
+        r.by_ref().take(take).read_until(b'\n', &mut line)?;
+        if line.is_empty() {
             return Ok(None);
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+        let terminated = line.last() == Some(&b'\n');
+        if terminated {
+            line.pop();
         }
-        return serde_json::from_str(trimmed).map(Some).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad protocol line '{trimmed}': {e}"),
-            )
-        });
+        if line.len() > limit {
+            return Err(invalid(format!(
+                "protocol line longer than {limit} bytes: '{}'",
+                clip(&String::from_utf8_lossy(
+                    &line[..QUOTE_BYTES.min(line.len())]
+                ))
+            )));
+        }
+        let text = std::str::from_utf8(&line).map_err(|_| {
+            invalid(format!(
+                "protocol line is not UTF-8: '{}'",
+                clip(&String::from_utf8_lossy(&line))
+            ))
+        })?;
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            if terminated {
+                continue;
+            }
+            return Ok(None);
+        }
+        return match serde_json::from_str(trimmed) {
+            Ok(msg) => Ok(Some(msg)),
+            Err(_) if !terminated => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "connection closed mid-line after {} bytes: '{}'",
+                    line.len(),
+                    clip(trimmed)
+                ),
+            )),
+            Err(e) => Err(invalid(format!(
+                "bad protocol line '{}': {}",
+                clip(trimmed),
+                clip(&e.to_string())
+            ))),
+        };
     }
 }
 
@@ -231,6 +289,60 @@ mod tests {
         assert_eq!(read_request(&mut r).unwrap(), Some(Request::Stats));
         let err = read_request(&mut r).unwrap_err();
         assert!(err.to_string().contains("not json"), "{err}");
+    }
+
+    #[test]
+    fn oversized_request_lines_are_refused_with_a_short_quote() {
+        let mut wire = vec![b'x'; MAX_REQUEST_LINE + 1];
+        wire.extend_from_slice(b"\n\"Stats\"\n");
+        let err = read_request(&mut std::io::Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(&MAX_REQUEST_LINE.to_string()), "{msg}");
+        assert!(
+            msg.len() < 2 * QUOTE_BYTES,
+            "quote not clipped: {} bytes",
+            msg.len()
+        );
+
+        // A line exactly at the limit is read (and here, rejected only as
+        // bad JSON, with the quote still clipped).
+        let mut wire = vec![b' '; MAX_REQUEST_LINE - 7];
+        wire.extend_from_slice(b"\"Stats\"\n");
+        assert_eq!(wire.len(), MAX_REQUEST_LINE + 1);
+        let mut r = std::io::Cursor::new(wire);
+        assert_eq!(read_request(&mut r).unwrap(), Some(Request::Stats));
+        let mut wire = vec![b'y'; MAX_REQUEST_LINE];
+        wire.push(b'\n');
+        let err = read_request(&mut std::io::Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().len() < 3 * QUOTE_BYTES,
+            "{}",
+            err.to_string().len()
+        );
+
+        // Responses stay unbounded: tables can be large.
+        let big = Response::Error {
+            message: "z".repeat(MAX_REQUEST_LINE + 10),
+        };
+        let mut buf = Vec::new();
+        write_line(&mut buf, &big).unwrap();
+        let mut r = std::io::Cursor::new(buf);
+        assert_eq!(read_response(&mut r).unwrap(), Some(big));
+    }
+
+    #[test]
+    fn a_peer_closing_mid_line_is_an_unexpected_eof() {
+        let mut r = std::io::Cursor::new(b"\"Stats\"\n{\"Status\":{\"jo".to_vec());
+        assert_eq!(read_request(&mut r).unwrap(), Some(Request::Stats));
+        let err = read_request(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("mid-line"), "{err}");
+        // A complete final message without its newline still parses.
+        let mut r = std::io::Cursor::new(b"\"Shutdown\"".to_vec());
+        assert_eq!(read_request(&mut r).unwrap(), Some(Request::Shutdown));
+        assert_eq!(read_request(&mut r).unwrap(), None);
     }
 
     #[test]

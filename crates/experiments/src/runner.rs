@@ -689,9 +689,9 @@ fn run_one(
     };
     if let Some(spec) = opts.sample {
         // Sampled run: checkpointed fast-forward + N detailed windows.
-        // Batch mode shares decoded streams across the windows too — the
-        // stream cursor is re-seeked per restore, so window runs stay
-        // bit-identical to per-window decodes.
+        // Batch mode shares each trace's synthesized program with the
+        // restores; the windows resume private generators from the
+        // checkpointed cursors and never read the shared stream.
         let shared: Option<Vec<Arc<SharedStream>>> =
             streams.map(|cache| traces.iter().map(|t| stream_for(cache, t)).collect());
         let (pooled, stats) = sample::sampled_run(

@@ -193,9 +193,8 @@ fn checkpoint_key(specs: &[TraceSpec], offset: u64) -> String {
 }
 
 /// The checkpoints for `specs` at `offsets`: all served from the
-/// artifact store when present and verifiable, otherwise captured in one
-/// replay pass and written back (best-effort — a failed write degrades
-/// to a re-capture next time, never to an error).
+/// artifact store when present and verifiable, otherwise captured (see
+/// [`capture_checkpoints`]).
 fn checkpoints_for(
     specs: &[TraceSpec],
     offsets: &[u64],
@@ -217,6 +216,18 @@ fn checkpoints_for(
             return cached;
         }
     }
+    capture_checkpoints(specs, offsets, artifacts)
+}
+
+/// Capture the checkpoints for `specs` at `offsets` in one replay pass
+/// and write them back to the artifact store, overwriting any record at
+/// the same key (best-effort — a failed write degrades to a re-capture
+/// next time, never to an error).
+fn capture_checkpoints(
+    specs: &[TraceSpec],
+    offsets: &[u64],
+    artifacts: Option<&ArtifactStore>,
+) -> Vec<Checkpoint> {
     let captured = Checkpoint::capture_many(specs, offsets);
     if let Some(store) = artifacts {
         for (ck, &off) in captured.iter().zip(offsets) {
@@ -248,23 +259,30 @@ pub fn sampled_run(
     let offsets: Vec<u64> = (0..spec.intervals)
         .map(|i| spec.offset(i, horizon))
         .collect();
-    let ckpts = checkpoints_for(specs, &offsets, artifacts);
-    let runs: Vec<SimResult> = ckpts
-        .iter()
-        .map(|ck| {
-            let mut sim = match shared {
-                Some(streams) => {
-                    Simulator::from_checkpoint_batched(cfg.clone(), iq, rf, ck, streams)
+    let windows = |ckpts: &[Checkpoint]| -> Result<Vec<SimResult>, String> {
+        ckpts
+            .iter()
+            .map(|ck| {
+                let mut sim = match shared {
+                    Some(streams) => {
+                        Simulator::from_checkpoint_batched(cfg.clone(), iq, rf, ck, streams)
+                    }
+                    None => Simulator::from_checkpoint(cfg.clone(), iq, rf, ck),
+                }?;
+                if validate {
+                    sim.enable_oracle();
                 }
-                None => Simulator::from_checkpoint(cfg.clone(), iq, rf, ck),
-            }
-            .expect("freshly captured/verified checkpoint restores");
-            if validate {
-                sim.enable_oracle();
-            }
-            sim.run_with_warmup(spec.warmup, spec.detail, max_cycles)
-        })
-        .collect();
+                Ok(sim.run_with_warmup(spec.warmup, spec.detail, max_cycles))
+            })
+            .collect()
+    };
+    // A cached checkpoint can verify yet not restore (its cursor does not
+    // fit the program): treat it like one that fails `verify()` — capture
+    // again and overwrite the record. Windows are pure functions of their
+    // checkpoint, so re-running them changes no result.
+    let runs = windows(&checkpoints_for(specs, &offsets, artifacts))
+        .or_else(|_| windows(&capture_checkpoints(specs, &offsets, artifacts)))
+        .expect("a freshly captured checkpoint restores");
     let stats = SampleStats { spec, runs };
     (stats.pooled(), stats)
 }
@@ -365,6 +383,118 @@ mod tests {
             serde_json::to_string(&back.pooled()).unwrap(),
             serde_json::to_string(&a).unwrap()
         );
+    }
+
+    fn scratch_store(tag: &str) -> (std::path::PathBuf, ArtifactStore) {
+        let dir = std::env::temp_dir().join(format!("csmt-sample-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).unwrap();
+        (dir, store)
+    }
+
+    /// A three-window sampled run over `specs()`, through `store`.
+    fn sampled(store: Option<&ArtifactStore>) -> String {
+        let (pooled, stats) = sampled_run(
+            &csmt_types::MachineConfig::iq_study(32),
+            SchemeKind::Cssp,
+            RegFileSchemeKind::Shared,
+            &specs(),
+            sspec(3),
+            6_000,
+            2_000_000,
+            false,
+            None,
+            store,
+        );
+        serde_json::to_string(&(pooled, stats)).unwrap()
+    }
+
+    fn offsets() -> Vec<u64> {
+        (0..3).map(|i| sspec(3).offset(i, 6_000)).collect()
+    }
+
+    /// Seed `store` with `records` at the sampled run's checkpoint keys,
+    /// then check the run recaptures (and rewrites) them and matches a
+    /// store-less run bit for bit.
+    fn recaptures_over(tag: &str, records: Vec<String>) {
+        let (dir, store) = scratch_store(tag);
+        for (off, payload) in offsets().into_iter().zip(&records) {
+            store
+                .put_record(CHECKPOINT_KIND, &checkpoint_key(&specs(), off), payload)
+                .unwrap();
+        }
+        let seeded = store.counters().puts;
+        assert_eq!(sampled(Some(&store)), sampled(None), "{tag}: results moved");
+        assert_eq!(
+            store.counters().puts,
+            seeded + 3,
+            "{tag}: the checkpoints must be captured again and rewritten"
+        );
+        // The rewritten records now restore: a second run writes nothing.
+        assert_eq!(sampled(Some(&store)), sampled(None));
+        assert_eq!(store.counters().puts, seeded + 3, "{tag}: rewrite stuck");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn schema_1_checkpoints_without_a_cursor_are_recaptured() {
+        // The layout a schema-1 binary wrote: no cursor per thread.
+        #[derive(Serialize)]
+        struct ThreadV1 {
+            spec: TraceSpec,
+            offset: u64,
+            warm_lines: Vec<u64>,
+        }
+        #[derive(Serialize)]
+        struct CheckpointV1 {
+            schema: u32,
+            threads: Vec<ThreadV1>,
+            checksum: u64,
+        }
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let records = Checkpoint::capture_many(&specs(), &offsets())
+            .into_iter()
+            .map(|ck| {
+                let mut v1 = CheckpointV1 {
+                    schema: 1,
+                    threads: ck
+                        .threads
+                        .into_iter()
+                        .map(|t| ThreadV1 {
+                            spec: t.spec,
+                            offset: t.offset,
+                            warm_lines: t.warm_lines,
+                        })
+                        .collect(),
+                    checksum: 0,
+                };
+                v1.checksum = fnv1a(serde_json::to_string(&v1).unwrap().as_bytes());
+                serde_json::to_string(&v1).unwrap()
+            })
+            .collect();
+        recaptures_over("schema1", records);
+    }
+
+    #[test]
+    fn checkpoints_that_verify_but_do_not_restore_are_recaptured() {
+        let records = Checkpoint::capture_many(&specs(), &offsets())
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut ck)| {
+                if i == 1 {
+                    // Out-of-range block, re-sealed so `verify()` passes.
+                    ck.threads[0].cursor.block = u32::MAX;
+                    ck.checksum = ck.content_hash();
+                    ck.verify().unwrap();
+                }
+                serde_json::to_string(&ck).unwrap()
+            })
+            .collect();
+        recaptures_over("badcursor", records);
     }
 
     #[test]

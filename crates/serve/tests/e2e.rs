@@ -3,12 +3,12 @@
 //! only the accept loop is skipped.
 
 use csmt_experiments::client::{run_on, ClientConfig, Outcome};
-use csmt_experiments::proto::{read_response, write_line, Request, Response};
+use csmt_experiments::proto::{read_response, write_line, Request, Response, MAX_REQUEST_LINE};
 use csmt_experiments::runner::ExpOptions;
 use csmt_experiments::spec::JobSpec;
 use csmt_experiments::{figures, Sweeps};
 use csmt_serve::{EngineConfig, Server, ServerConfig};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
@@ -273,6 +273,68 @@ fn malformed_specs_are_rejected_permanently() {
         }
         other => panic!("expected rejection, got {other:?}"),
     }
+}
+
+#[test]
+fn hostile_request_lines_end_only_their_own_connection() {
+    let dir = tmp("hostile");
+    let srv = server(&dir, 8, 1);
+    let (mut good_r, mut good_w) = connect(&srv);
+    // Send `bytes` on a fresh connection, hang up, and return the error
+    // its `handle_conn` ended with.
+    let hostile = |bytes: &[u8]| {
+        let (mut client, srv_end) = UnixStream::pair().expect("socketpair");
+        let s = srv.clone();
+        let conn = std::thread::spawn(move || {
+            let reader = srv_end.try_clone().expect("clone server end");
+            s.handle_conn(reader, srv_end)
+        });
+        // The daemon may hang up before the whole line is written.
+        let _ = client.write_all(bytes);
+        drop(client);
+        conn.join().expect("connection thread").unwrap_err()
+    };
+    let mut oversized = vec![b'x'; MAX_REQUEST_LINE + 1];
+    oversized.push(b'\n');
+    let err = hostile(&oversized);
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("longer than"), "{err}");
+    let err = hostile(b"{\"Status\":{\"jo");
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+
+    // A client that half-closes after a complete request still gets its
+    // answer, and its connection ends cleanly.
+    let (client, srv_end) = UnixStream::pair().expect("socketpair");
+    let s = srv.clone();
+    let conn = std::thread::spawn(move || {
+        let reader = srv_end.try_clone().expect("clone server end");
+        s.handle_conn(reader, srv_end)
+    });
+    let mut w = client.try_clone().expect("clone client end");
+    write_line(&mut w, &Request::Stats).unwrap();
+    client.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut r = BufReader::new(client);
+    assert!(matches!(
+        read_response(&mut r).unwrap().unwrap(),
+        Response::Stats { .. }
+    ));
+    assert!(read_response(&mut r).unwrap().is_none());
+    conn.join().expect("connection thread").unwrap();
+
+    // The daemon still serves the connection that was open all along,
+    // and new ones.
+    write_line(&mut good_w, &Request::Stats).unwrap();
+    assert!(matches!(
+        read_response(&mut good_r).unwrap().unwrap(),
+        Response::Stats { .. }
+    ));
+    let (mut r, mut w) = connect(&srv);
+    write_line(&mut w, &Request::Stats).unwrap();
+    assert!(matches!(
+        read_response(&mut r).unwrap().unwrap(),
+        Response::Stats { .. }
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

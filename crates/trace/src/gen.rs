@@ -4,13 +4,18 @@
 //! enough information to faithfully simulate wrong path execution"*, §4.1).
 
 use crate::profile::TraceProfile;
-use crate::program::{MemPattern, Program, UopTemplate};
+use crate::program::{MemPattern, Program, UopTemplate, NUM_STREAM_REGIONS};
 use csmt_types::uop::RegOperand;
-use csmt_types::{LogReg, MicroOp, OpClass, Prng, RegClass};
+use csmt_types::{LogReg, MicroOp, OpClass, Prng, RegClass, NUM_LOG_REGS};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How many recent producers the dependency model remembers per class.
 const RECENT_WINDOW: usize = 32;
+
+/// Longest cold burst, in accesses (bursts walk 4–16 words of a line).
+const MAX_COLD_BURST: u8 = 16;
 
 /// Blocks with a base trip count above this behave as loops (the exit
 /// branch is a back edge); at 1 they are decision blocks (the exit branch
@@ -23,7 +28,7 @@ const LOOP_TRIP_THRESHOLD: u32 = 1;
 /// Determinism: two `ThreadTrace`s built from the same `(program, seed)`
 /// yield identical streams.
 pub struct ThreadTrace {
-    program: Program,
+    program: Arc<Program>,
     rng_ctl: Prng,
     rng_dep: Prng,
     rng_mem: Prng,
@@ -36,7 +41,7 @@ pub struct ThreadTrace {
     /// Shared per-region stream cursors, in bytes. All static instructions
     /// walking a region advance the same cursor — the program streams
     /// through a handful of arrays.
-    stream_pos: [u64; crate::program::NUM_STREAM_REGIONS],
+    stream_pos: [u64; NUM_STREAM_REGIONS],
     /// Per-template cold-burst state: (current line base, accesses left).
     /// Cold misses walk a few consecutive words of a random line, giving
     /// the spatial locality real memory-bound code has — without it every
@@ -49,6 +54,70 @@ pub struct ThreadTrace {
     emitted: u64,
 }
 
+/// Flattened index of each block's first template, and the template count.
+fn block_bases(program: &Program) -> (Vec<u32>, usize) {
+    let mut bases = Vec::with_capacity(program.blocks.len());
+    let mut acc = 0u32;
+    for b in &program.blocks {
+        bases.push(acc);
+        acc += b.body.len() as u32;
+    }
+    (bases, acc as usize)
+}
+
+/// A [`ThreadTrace`]'s position in its stream: everything the generator
+/// carries except the program it walks. Capturing it costs a few hundred
+/// bytes, and resuming from it ([`ThreadTrace::resume`]) replaces
+/// regenerating the whole prefix.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TraceCursor {
+    /// [`Program::fingerprint`] of the program this cursor walks.
+    pub program: u64,
+    /// The three PRNG states: control flow, dependencies, addresses.
+    pub rng_ctl: [u64; 4],
+    pub rng_dep: [u64; 4],
+    pub rng_mem: [u64; 4],
+    /// Current block, remaining self-loop trips, and position in the
+    /// block body (`pos == body.len()` means the exit branch is next).
+    pub block: u32,
+    pub trips_left: u64,
+    pub pos: u32,
+    /// Byte offset of each shared stream region's walk.
+    pub stream_pos: [u64; NUM_STREAM_REGIONS],
+    /// In-flight cold bursts only, as `(template, line, accesses left)`
+    /// with the template's flattened index; every other template is idle.
+    pub cold: Vec<(u32, u64, u8)>,
+    /// Recent producers per register class (int, fp), most recent first.
+    pub recent: [Vec<u8>; 2],
+    /// Correct-path uops emitted before this position.
+    pub emitted: u64,
+}
+
+/// Why a [`TraceCursor`] cannot be resumed on a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CursorError {
+    /// The cursor was taken on a different program.
+    ProgramMismatch { cursor: u64, program: u64 },
+    /// A field is outside what the program (or the generator) allows.
+    OutOfRange { field: &'static str, value: u64 },
+}
+
+impl std::fmt::Display for CursorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CursorError::ProgramMismatch { cursor, program } => write!(
+                f,
+                "trace cursor taken on program {cursor:016x}, resumed on {program:016x}"
+            ),
+            CursorError::OutOfRange { field, value } => {
+                write!(f, "trace cursor field {field} out of range: {value}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CursorError {}
+
 impl ThreadTrace {
     /// Build a generator for `profile`, synthesizing the static program from
     /// the same seed.
@@ -57,18 +126,14 @@ impl ThreadTrace {
     }
 
     /// Build a generator walking an existing program.
-    pub fn new(program: Program, seed: u64) -> Self {
-        let mut block_base = Vec::with_capacity(program.blocks.len());
-        let mut acc = 0u32;
-        for b in &program.blocks {
-            block_base.push(acc);
-            acc += b.body.len() as u32;
-        }
+    pub fn new(program: impl Into<Arc<Program>>, seed: u64) -> Self {
+        let program = program.into();
+        let (block_base, templates) = block_bases(&program);
         let mut rng_ctl = Prng::derive(seed, 0xC011);
         let start = rng_ctl.below(program.blocks.len() as u64) as usize;
         let mut s = ThreadTrace {
-            stream_pos: [0; crate::program::NUM_STREAM_REGIONS],
-            cold_state: vec![(0, 0); acc as usize],
+            stream_pos: [0; NUM_STREAM_REGIONS],
+            cold_state: vec![(0, 0); templates],
             block_base,
             program,
             rng_ctl,
@@ -82,6 +147,107 @@ impl ThreadTrace {
         };
         s.enter_block(start);
         s
+    }
+
+    /// Resume a generator from a [`TraceCursor`] taken on `program`: the
+    /// next uop is the one the captured generator would have emitted
+    /// next. The cursor is checked against the program (fingerprint) and
+    /// every field that indexes program state is range-checked, so a
+    /// corrupt or foreign cursor is an `Err`, never a panic.
+    pub fn resume(program: Arc<Program>, cursor: &TraceCursor) -> Result<Self, CursorError> {
+        let fingerprint = program.fingerprint();
+        if cursor.program != fingerprint {
+            return Err(CursorError::ProgramMismatch {
+                cursor: cursor.program,
+                program: fingerprint,
+            });
+        }
+        let bad = |field: &'static str, value: u64| CursorError::OutOfRange { field, value };
+        let rng = |field: &'static str, s: [u64; 4]| Prng::from_state(s).ok_or(bad(field, 0));
+        let block = program
+            .blocks
+            .get(cursor.block as usize)
+            .ok_or_else(|| bad("block", cursor.block as u64))?;
+        if cursor.pos as usize > block.body.len() {
+            return Err(bad("pos", cursor.pos as u64));
+        }
+        if let Some(&pos) = cursor
+            .stream_pos
+            .iter()
+            .find(|&&pos| pos >= program.stream_region_size())
+        {
+            return Err(bad("stream_pos", pos));
+        }
+        let (block_base, templates) = block_bases(&program);
+        let mut cold_state = vec![(0, 0); templates];
+        let cold_lo = program.cold_base();
+        let cold_hi = cold_lo + program.profile.footprint.max(64);
+        for &(tmpl, line, left) in &cursor.cold {
+            let slot = cold_state
+                .get_mut(tmpl as usize)
+                .ok_or_else(|| bad("cold.template", tmpl as u64))?;
+            if !(cold_lo..cold_hi).contains(&line) {
+                return Err(bad("cold.line", line));
+            }
+            if !(1..=MAX_COLD_BURST).contains(&left) {
+                return Err(bad("cold.left", left as u64));
+            }
+            *slot = (line, left);
+        }
+        let recent = |field: &'static str, regs: &[u8]| {
+            if regs.len() > RECENT_WINDOW {
+                return Err(bad(field, regs.len() as u64));
+            }
+            match regs.iter().find(|&&r| r as usize >= NUM_LOG_REGS) {
+                Some(&r) => Err(bad(field, r as u64)),
+                None => Ok(regs.iter().map(|&r| LogReg(r)).collect::<VecDeque<_>>()),
+            }
+        };
+        Ok(ThreadTrace {
+            rng_ctl: rng("rng_ctl", cursor.rng_ctl)?,
+            rng_dep: rng("rng_dep", cursor.rng_dep)?,
+            rng_mem: rng("rng_mem", cursor.rng_mem)?,
+            cur: cursor.block as usize,
+            trips_left: cursor.trips_left,
+            pos: cursor.pos as usize,
+            stream_pos: cursor.stream_pos,
+            cold_state,
+            block_base,
+            recent: [
+                recent("recent_int", &cursor.recent[0])?,
+                recent("recent_fp", &cursor.recent[1])?,
+            ],
+            emitted: cursor.emitted,
+            program,
+        })
+    }
+
+    /// Snapshot the generator position: resuming the snapshot with
+    /// [`ThreadTrace::resume`] on the same program continues this stream
+    /// exactly.
+    pub fn cursor(&self) -> TraceCursor {
+        TraceCursor {
+            program: self.program.fingerprint(),
+            rng_ctl: self.rng_ctl.state(),
+            rng_dep: self.rng_dep.state(),
+            rng_mem: self.rng_mem.state(),
+            block: self.cur as u32,
+            trips_left: self.trips_left,
+            pos: self.pos as u32,
+            stream_pos: self.stream_pos,
+            cold: self
+                .cold_state
+                .iter()
+                .enumerate()
+                .filter(|(_, &(_, left))| left > 0)
+                .map(|(i, &(line, left))| (i as u32, line, left))
+                .collect(),
+            recent: self
+                .recent
+                .each_ref()
+                .map(|q| q.iter().map(|r| r.0).collect()),
+            emitted: self.emitted,
+        }
     }
 
     /// The profile the underlying program was synthesized from.
@@ -245,7 +411,7 @@ impl ThreadTrace {
                 self.cold_state[tmpl_idx].1 = left - 1;
                 // Offset advances as the burst drains (≤ 120 bytes, so a
                 // burst touches at most two cache lines).
-                line + (16 - left as u64).min(15) * 8
+                line + (MAX_COLD_BURST as u64 - left as u64).min(15) * 8
             }
         };
         (addr, size as u8)
@@ -554,6 +720,113 @@ mod tests {
             assert!(ua.pc >= WRONG_PATH_PC_BASE);
             assert_eq!(ua.code_block, u32::MAX);
         }
+    }
+
+    /// Generator after `n` uops of a straight walk.
+    fn walked(program: &Arc<Program>, seed: u64, n: u64) -> ThreadTrace {
+        let mut t = ThreadTrace::new(program.clone(), seed);
+        for _ in 0..n {
+            t.next_uop();
+        }
+        t
+    }
+
+    #[test]
+    fn resumed_cursor_matches_a_straight_generator() {
+        // A MIX pairing: one ILP and one MEM thread, so cold bursts are in
+        // flight at most offsets of the second.
+        let w = crate::suite()
+            .into_iter()
+            .find(|w| w.name == "server/mix.2.1")
+            .unwrap();
+        for (thread, spec) in w.traces.iter().enumerate() {
+            let program = Arc::new(Program::synthesize(&spec.profile, spec.seed));
+            // Offsets: the start, the first mid-block position, the first
+            // position inside a cold burst, several 4,096-uop stream
+            // chunks in, and past 100,000.
+            let mut offsets = vec![0, 3 * 4096 + 321, 100_003];
+            let mut t = ThreadTrace::new(program.clone(), spec.seed);
+            let (mut mid_block, mut in_burst) = (None, None);
+            while mid_block.is_none() || (in_burst.is_none() && t.emitted() < 50_000) {
+                let len = t.program.blocks[t.cur].body.len();
+                if mid_block.is_none() && t.pos > 0 && t.pos < len {
+                    mid_block = Some(t.emitted());
+                }
+                if in_burst.is_none() && t.cold_state.iter().any(|&(_, left)| left > 0) {
+                    in_burst = Some(t.emitted());
+                }
+                t.next_uop();
+            }
+            offsets.extend(mid_block);
+            offsets.extend(in_burst);
+            if thread == 1 {
+                assert!(in_burst.is_some(), "{}: no cold burst", spec.profile.name);
+            }
+            for n in offsets {
+                let cursor = walked(&program, spec.seed, n).cursor();
+                assert_eq!(cursor.emitted, n);
+                let json = serde_json::to_string(&cursor).unwrap();
+                let back: TraceCursor = serde_json::from_str(&json).unwrap();
+                assert_eq!(back, cursor, "cursor JSON round trip at {n}");
+                let mut resumed = ThreadTrace::resume(program.clone(), &back).unwrap();
+                assert_eq!(resumed.cursor(), cursor, "resume/cursor round trip at {n}");
+                let mut straight = walked(&program, spec.seed, n);
+                for i in 0..5_000 {
+                    assert_eq!(
+                        resumed.next_uop(),
+                        straight.next_uop(),
+                        "{}: uop {i} after resuming at {n}",
+                        spec.profile.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_rejects_foreign_and_out_of_range_cursors() {
+        let w = crate::suite()
+            .into_iter()
+            .find(|w| w.name == "server/mix.2.1")
+            .unwrap();
+        let spec = &w.traces[1]; // the MEM thread
+        let program = Arc::new(Program::synthesize(&spec.profile, spec.seed));
+        let good = walked(&program, spec.seed, 20_000).cursor();
+        assert!(
+            !good.cold.is_empty(),
+            "fixture needs a cold burst in flight"
+        );
+        let resume = |edit: &dyn Fn(&mut TraceCursor)| {
+            let mut c = good.clone();
+            edit(&mut c);
+            ThreadTrace::resume(program.clone(), &c).map(|_| ())
+        };
+        assert_eq!(resume(&|_| {}), Ok(()));
+
+        let other = Arc::new(Program::synthesize(&spec.profile, spec.seed + 1));
+        assert!(matches!(
+            ThreadTrace::resume(other, &good).map(|_| ()),
+            Err(CursorError::ProgramMismatch { .. })
+        ));
+        let blocks = program.blocks.len() as u32;
+        let field = |r: Result<(), CursorError>| match r {
+            Err(CursorError::OutOfRange { field, .. }) => field,
+            other => panic!("expected an out-of-range error, got {other:?}"),
+        };
+        assert_eq!(field(resume(&|c| c.block = blocks)), "block");
+        assert_eq!(field(resume(&|c| c.block = u32::MAX)), "block");
+        assert_eq!(field(resume(&|c| c.pos = u32::MAX)), "pos");
+        assert_eq!(field(resume(&|c| c.cold[0].0 = u32::MAX)), "cold.template");
+        assert_eq!(field(resume(&|c| c.cold[0].1 = u64::MAX)), "cold.line");
+        assert_eq!(field(resume(&|c| c.cold[0].2 = 0)), "cold.left");
+        assert_eq!(field(resume(&|c| c.cold[0].2 = 17)), "cold.left");
+        assert_eq!(field(resume(&|c| c.stream_pos[3] = u64::MAX)), "stream_pos");
+        assert_eq!(field(resume(&|c| c.rng_mem = [0; 4])), "rng_mem");
+        assert_eq!(
+            field(resume(&|c| c.recent[0] = vec![1; RECENT_WINDOW + 1])),
+            "recent_int"
+        );
+        assert_eq!(field(resume(&|c| c.recent[1] = vec![200])), "recent_fp");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod stats;
 pub mod stream;
 pub mod suite;
 
-pub use gen::{ThreadTrace, WrongPathSource};
+pub use gen::{CursorError, ThreadTrace, TraceCursor, WrongPathSource};
 pub use io::{record_trace, TraceReader, TraceWriter};
 pub use oracle::{OracleDivergence, ThreadOracle, WarmFootprint};
 pub use profile::{TraceClass, TraceProfile};

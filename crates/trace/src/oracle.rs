@@ -16,7 +16,7 @@
 //! * sequence numbers strictly increase in commit order (they are not
 //!   contiguous: replayed uops are renumbered and copies consume numbers).
 
-use crate::gen::ThreadTrace;
+use crate::gen::{ThreadTrace, TraceCursor};
 use crate::profile::TraceProfile;
 use crate::suite::TraceSpec;
 use csmt_types::OpClass;
@@ -144,6 +144,12 @@ impl ThreadOracle {
             }
             self.position += 1;
         }
+    }
+
+    /// The replay's generator position: resuming it continues the stream
+    /// at commit [`ThreadOracle::committed`].
+    pub fn cursor(&self) -> TraceCursor {
+        self.trace.cursor()
     }
 
     /// Check that sequence numbers strictly increase in commit order.

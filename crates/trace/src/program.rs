@@ -292,6 +292,28 @@ impl Program {
     pub fn static_uops(&self) -> usize {
         self.blocks.iter().map(|b| b.body.len() + 1).sum()
     }
+
+    /// Cheap structural identity of this program: FNV-1a over every
+    /// block's branch PC and body length, then the total template count.
+    /// A [`crate::TraceCursor`] records it so a cursor is only resumed on
+    /// the program that produced it.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut templates = 0u64;
+        for b in &self.blocks {
+            eat(b.branch_pc);
+            eat(b.body.len() as u64);
+            templates += b.body.len() as u64;
+        }
+        eat(templates);
+        h
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +329,17 @@ mod tests {
         assert_eq!(a, b);
         let c = Program::synthesize(&p, 43);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn fingerprint_is_stable_and_tells_programs_apart() {
+        let p = category_base("server");
+        let a = Program::synthesize(&p, 42);
+        assert_eq!(a.fingerprint(), Program::synthesize(&p, 42).fingerprint());
+        assert_ne!(a.fingerprint(), Program::synthesize(&p, 43).fingerprint());
+        let mut shorter = a.clone();
+        shorter.blocks[0].body.pop();
+        assert_ne!(a.fingerprint(), shorter.fingerprint());
     }
 
     #[test]

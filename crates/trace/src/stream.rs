@@ -34,9 +34,9 @@ const CHUNK: usize = 4096;
 /// One thread trace decoded once and shared, read-only, by every
 /// simulator in a batch.
 pub struct SharedStream {
-    /// Immutable copy of the synthesized program (cache warm-up and
-    /// architected-state setup read it; the generator owns its own).
-    program: Program,
+    /// The synthesized program, shared with the generator (cache warm-up,
+    /// architected-state setup and checkpoint restores read it).
+    program: Arc<Program>,
     seed: u64,
     /// The generator producing the not-yet-published tail.
     tail: Mutex<ThreadTrace>,
@@ -56,7 +56,7 @@ impl SharedStream {
     /// Decode `(profile, seed)` once. This is the expensive front-end
     /// work a batch amortizes: program synthesis plus stream generation.
     pub fn new(profile: &TraceProfile, seed: u64) -> Self {
-        let program = Program::synthesize(profile, seed);
+        let program = Arc::new(Program::synthesize(profile, seed));
         SharedStream {
             tail: Mutex::new(ThreadTrace::new(program.clone(), seed)),
             program,
@@ -65,7 +65,7 @@ impl SharedStream {
         }
     }
 
-    pub fn program(&self) -> &Program {
+    pub fn program(&self) -> &Arc<Program> {
         &self.program
     }
 
@@ -153,22 +153,6 @@ impl StreamReader {
         self.stream.program()
     }
 
-    /// Uops consumed so far.
-    pub fn emitted(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// Jump to absolute position `pos` in the stream: the next
-    /// [`StreamReader::next_uop`] returns the uop a private generator
-    /// would produce as its `pos`-th. Chunks up to `pos` are generated
-    /// on demand (once per stream, shared by every reader), so seeking
-    /// far ahead costs one generation pass that later readers and
-    /// intervals reuse.
-    pub fn seek(&mut self, pos: u64) {
-        self.pos = pos as usize;
-        self.cur = None;
-    }
-
     /// Next correct-path uop — the exact uop a private
     /// [`ThreadTrace`] built from the same `(profile, seed)` would
     /// produce at this position.
@@ -214,31 +198,6 @@ mod tests {
                     spec.profile.name
                 );
             }
-        }
-    }
-
-    #[test]
-    fn seek_matches_a_skipped_private_generator() {
-        let w = &suite()[0];
-        let spec = &w.traces[0];
-        let shared = Arc::new(SharedStream::new(&spec.profile, spec.seed));
-        let mut reader = StreamReader::new(shared.clone());
-        // Jump across a chunk boundary without reading the prefix.
-        let skip = CHUNK as u64 + 321;
-        reader.seek(skip);
-        assert_eq!(reader.emitted(), skip);
-        let mut private = ThreadTrace::from_profile(&spec.profile, spec.seed);
-        for _ in 0..skip {
-            private.next_uop();
-        }
-        for i in 0..CHUNK + 50 {
-            assert_eq!(reader.next_uop(), private.next_uop(), "uop {i} after seek");
-        }
-        // Seeking backwards replays the published prefix.
-        reader.seek(0);
-        let mut fresh = ThreadTrace::from_profile(&spec.profile, spec.seed);
-        for i in 0..100 {
-            assert_eq!(reader.next_uop(), fresh.next_uop(), "uop {i} after rewind");
         }
     }
 

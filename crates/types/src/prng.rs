@@ -40,6 +40,18 @@ impl Prng {
         Prng::new(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F))
     }
 
+    /// The raw 256-bit state, for checkpointing a generator mid-stream.
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
+    /// Resume a generator from a [`Prng::state`] snapshot. The all-zero
+    /// state is a fixed point of xoshiro (every draw is 0) and no seeded
+    /// generator ever reaches it, so it is refused.
+    pub fn from_state(s: [u64; 4]) -> Option<Self> {
+        (s != [0; 4]).then_some(Prng { s })
+    }
+
     /// Next raw 64-bit draw.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -123,6 +135,17 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn state_snapshot_resumes_the_stream() {
+        let mut a = Prng::new(11);
+        a.next_u64();
+        let mut b = Prng::from_state(a.state()).unwrap();
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        assert!(Prng::from_state([0; 4]).is_none());
     }
 
     #[test]

@@ -29,6 +29,8 @@ SETS=(
     "figN --target 400 --warmup 100"
     "figPair --target 400 --warmup 100"
     "fig2 --target 2000 --warmup 200 --sample intervals=4,warmup=150,detail=400"
+    # Restores at offsets 0/10k/20k/30k: past the first 4,096-uop chunk.
+    "detail:DH/ilp.2.1 detail:mixes/mix.2.3 --target 40000 --warmup 100 --sample intervals=4,warmup=150,detail=400"
 )
 
 work="$(mktemp -d)"
