@@ -128,8 +128,9 @@ const QUOTE_BYTES: usize = 200;
 
 /// Read the next non-empty line and parse it as a [`Request`]. `None` on
 /// clean EOF. Errors (each ends the connection): `InvalidData` for a line
-/// over [`MAX_REQUEST_LINE`], non-UTF-8 or malformed JSON, and
-/// `UnexpectedEof` for a peer that closed the connection mid-line.
+/// over [`MAX_REQUEST_LINE`], non-UTF-8 or malformed JSON (including
+/// nesting deeper than [`serde_json::MAX_DEPTH`]), and `UnexpectedEof`
+/// for a peer that closed the connection mid-line.
 pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
     read_parsed(r, MAX_REQUEST_LINE)
 }

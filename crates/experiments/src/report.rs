@@ -50,6 +50,16 @@ pub fn render_store_summary(c: &SweepCounters) -> String {
         )
         .unwrap();
     }
+    // Only a `--batch` sweep shares streams, so per-config summaries are
+    // unchanged byte-for-byte.
+    if let Some(s) = &c.streams {
+        writeln!(
+            out,
+            "streams: {} decoded, at most {} held at once",
+            s.decoded, s.peak_held
+        )
+        .unwrap();
+    }
     out
 }
 

@@ -172,6 +172,17 @@ enum RunInput {
     Bundle(Box<Bundle>),
 }
 
+impl RunInput {
+    /// The traces the run simulates, one per hardware thread.
+    fn traces(&self) -> &[TraceSpec] {
+        match self {
+            RunInput::Smt(w) => &w.traces,
+            RunInput::Single(s) => std::slice::from_ref(&**s),
+            RunInput::Bundle(b) => &b.traces,
+        }
+    }
+}
+
 /// Harness options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExpOptions {
@@ -237,13 +248,126 @@ pub struct SweepCounters {
     /// Single-flight coalescing traffic; `None` unless this store shares
     /// in-flight work with others ([`Sweeps::with_shared_store`]).
     pub flight: Option<FlightCounters>,
+    /// Shared-stream traffic; `None` unless the sweep is batched.
+    pub streams: Option<StreamCounters>,
 }
 
-/// Decoded-trace cache for batched sweeps, keyed by the full serialized
-/// profile plus seed (the exact identity the stream is a pure function
-/// of — two profiles that differ anywhere get distinct streams even if
-/// they share a name).
-type StreamCache = Mutex<HashMap<(String, u64), Arc<SharedStream>>>;
+/// Shared decoded streams of a batched sweep.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamCounters {
+    /// Streams decoded. A stream is decoded once per batch that reads it,
+    /// so with one worker (and no shared flight table) this is
+    /// deterministic.
+    pub decoded: u64,
+    /// Most streams held at once.
+    pub peak_held: u64,
+}
+
+/// Cache identity of a decoded stream: the full serialized profile plus
+/// seed (the exact identity the stream is a pure function of — two
+/// profiles that differ anywhere get distinct streams even if they share
+/// a name).
+type StreamKey = (String, u64);
+
+fn stream_key(spec: &TraceSpec) -> StreamKey {
+    (
+        serde_json::to_string(&spec.profile).expect("profile serializes"),
+        spec.seed,
+    )
+}
+
+/// Decoded-trace cache for batched sweeps. An entry lives only as long
+/// as the runs that read it: [`Sweeps::ensure`] reserves one pending run
+/// per (job, trace) before any job starts, each job releases its traces
+/// once it is finished, and the last release drops the cache's
+/// `Arc<SharedStream>`. A reader still running holds its own `Arc`, so
+/// nothing is freed under it; a later batch over the same trace decodes
+/// it again, to the same bytes.
+#[derive(Default)]
+struct StreamCache(Mutex<StreamTable>);
+
+#[derive(Default)]
+struct StreamTable {
+    entries: HashMap<StreamKey, StreamEntry>,
+    counters: StreamCounters,
+}
+
+#[derive(Default)]
+struct StreamEntry {
+    /// Decoded on first use.
+    stream: Option<Arc<SharedStream>>,
+    /// Reserved runs that have not yet released this entry.
+    pending: usize,
+}
+
+impl StreamCache {
+    /// Count one pending run per key (a key listed twice counts twice).
+    fn reserve<'k>(&self, keys: impl IntoIterator<Item = &'k StreamKey>) {
+        let mut table = self.0.lock();
+        for key in keys {
+            table.entries.entry(key.clone()).or_default().pending += 1;
+        }
+    }
+
+    /// The stream of a reserved key, decoded on first use. The decode
+    /// runs under the cache lock: concurrent workers wanting the same
+    /// trace wait for one decode instead of racing on duplicates.
+    fn get(&self, key: &StreamKey, spec: &TraceSpec) -> Arc<SharedStream> {
+        let mut table = self.0.lock();
+        let entry = table
+            .entries
+            .get_mut(key)
+            .expect("stream reserved before use");
+        if let Some(stream) = &entry.stream {
+            return stream.clone();
+        }
+        let stream = Arc::new(SharedStream::new(&spec.profile, spec.seed));
+        entry.stream = Some(stream.clone());
+        let held = table
+            .entries
+            .values()
+            .filter(|e| e.stream.is_some())
+            .count();
+        table.counters.decoded += 1;
+        table.counters.peak_held = table.counters.peak_held.max(held as u64);
+        stream
+    }
+
+    /// Release one pending run of `key`; the last release drops the
+    /// entry and its stream.
+    fn release(&self, key: &StreamKey) {
+        let mut table = self.0.lock();
+        let Some(entry) = table.entries.get_mut(key) else {
+            return;
+        };
+        entry.pending -= 1;
+        if entry.pending == 0 {
+            let gone = table.entries.remove(key);
+            // Free the chunks outside the lock.
+            drop(table);
+            drop(gone);
+        }
+    }
+
+    fn counters(&self) -> StreamCounters {
+        self.0.lock().counters
+    }
+}
+
+/// Releases one job's reserved streams when dropped: after the job's
+/// last attempt, whether it completed, failed every attempt or unwound.
+struct StreamLease<'a> {
+    cache: &'a StreamCache,
+    keys: &'a [StreamKey],
+}
+
+impl Drop for StreamLease<'_> {
+    fn drop(&mut self) {
+        for key in self.keys {
+            self.cache.release(key);
+        }
+    }
+}
 
 /// Memoizing run store.
 pub struct Sweeps {
@@ -258,7 +382,8 @@ pub struct Sweeps {
     journal: Option<Arc<Journal>>,
     orch: Orchestrator,
     exec: Executor,
-    /// Shared decoded streams (batch mode only; empty otherwise).
+    /// Shared decoded streams of the batches in flight (batch mode
+    /// only; empty otherwise).
     streams: StreamCache,
     /// Cross-store in-flight coalescing (the sweep service hands every
     /// `Sweeps` the same flight table so concurrent jobs hammering
@@ -279,7 +404,7 @@ impl Sweeps {
             journal: None,
             orch: Orchestrator::new(RetryPolicy::default(), None),
             exec: Executor::new(opts.jobs),
-            streams: Mutex::new(HashMap::new()),
+            streams: StreamCache::default(),
             flight: None,
         }
     }
@@ -300,7 +425,7 @@ impl Sweeps {
             journal: Some(journal),
             orch,
             exec: Executor::new(opts.jobs),
-            streams: Mutex::new(HashMap::new()),
+            streams: StreamCache::default(),
             flight: None,
         })
     }
@@ -327,7 +452,7 @@ impl Sweeps {
             journal: Some(journal),
             orch,
             exec: Executor::new(opts.jobs),
-            streams: Mutex::new(HashMap::new()),
+            streams: StreamCache::default(),
             flight: Some(flight),
         }
     }
@@ -354,6 +479,7 @@ impl Sweeps {
             orch: self.orch.counters(),
             exec: self.exec.counters(),
             flight: self.flight.as_ref().map(|f| f.counters()),
+            streams: self.opts.batch.then(|| self.streams.counters()),
         }
     }
 
@@ -464,12 +590,29 @@ impl Sweeps {
         // closure is self-contained (orchestrator isolation + store put);
         // results come back in `todo` order, so what follows — map
         // inserts, figure tables, CSVs — is independent of scheduling.
-        let streams = if self.opts.batch {
-            Some(&self.streams)
-        } else {
-            None
-        };
-        let results = self.exec.run(&todo, |_, (key, input)| {
+        //
+        // Batch mode keys each job's traces once and reserves them all
+        // before any job starts, so a stream lives exactly as long as the
+        // runs of this batch that read it.
+        let keys: Vec<Vec<StreamKey>> = todo
+            .iter()
+            .map(|(_, input)| {
+                if self.opts.batch {
+                    input.traces().iter().map(stream_key).collect()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        self.streams.reserve(keys.iter().flatten());
+        let results = self.exec.run(&todo, |i, (key, input)| {
+            // Released after every retry and outside the single-flight
+            // `compute`, so coalesced followers release too.
+            let _lease = StreamLease {
+                cache: &self.streams,
+                keys: &keys[i],
+            };
+            let streams = self.opts.batch.then(|| (&self.streams, keys[i].as_slice()));
             let desc = job_desc(key);
             // The full simulate-and-persist step for one key. With a
             // shared flight table, a concurrent store simulating the
@@ -648,57 +791,38 @@ fn job_desc(key: &RunKey) -> JobDesc {
 fn failed_placeholder(key: &RunKey, input: &RunInput, opts: &ExpOptions) -> SimResult {
     let cfg = key.cfg.build();
     SimResult {
-        num_threads: match input {
-            RunInput::Smt(w) => w.traces.len(),
-            RunInput::Single(_) => 1,
-            RunInput::Bundle(b) => b.traces.len(),
-        },
+        num_threads: input.traces().len(),
         commit_target: opts.commit_target,
         stats: SimStats::sized(cfg.num_threads, cfg.num_clusters),
     }
-}
-
-/// Fetch or build the shared decoded stream for one trace spec. The
-/// build runs under the cache lock: concurrent workers wanting the same
-/// trace wait for one decode instead of racing on duplicates.
-fn stream_for(cache: &StreamCache, spec: &TraceSpec) -> Arc<SharedStream> {
-    let key = (
-        serde_json::to_string(&spec.profile).expect("profile serializes"),
-        spec.seed,
-    );
-    cache
-        .lock()
-        .entry(key)
-        .or_insert_with(|| Arc::new(SharedStream::new(&spec.profile, spec.seed)))
-        .clone()
 }
 
 fn run_one(
     key: &RunKey,
     input: &RunInput,
     opts: &ExpOptions,
-    streams: Option<&StreamCache>,
+    streams: Option<(&StreamCache, &[StreamKey])>,
     artifacts: Option<&ArtifactStore>,
 ) -> RunOutput {
     fault_injection::maybe_panic(&key.label);
     let cfg = key.cfg.build();
-    let traces: Vec<TraceSpec> = match input {
-        RunInput::Smt(w) => w.traces.to_vec(),
-        RunInput::Single(s) => vec![(**s).clone()],
-        RunInput::Bundle(b) => b.traces.clone(),
-    };
+    let traces = input.traces();
+    let shared: Option<Vec<Arc<SharedStream>>> = streams.map(|(cache, keys)| {
+        keys.iter()
+            .zip(traces)
+            .map(|(k, t)| cache.get(k, t))
+            .collect()
+    });
     if let Some(spec) = opts.sample {
         // Sampled run: checkpointed fast-forward + N detailed windows.
         // Batch mode shares each trace's synthesized program with the
         // restores; the windows resume private generators from the
         // checkpointed cursors and never read the shared stream.
-        let shared: Option<Vec<Arc<SharedStream>>> =
-            streams.map(|cache| traces.iter().map(|t| stream_for(cache, t)).collect());
         let (pooled, stats) = sample::sampled_run(
             &cfg,
             key.iq,
             key.rf,
-            &traces,
+            traces,
             spec,
             opts.commit_target,
             opts.max_cycles,
@@ -708,13 +832,9 @@ fn run_one(
         );
         return (pooled, Some(stats));
     }
-    let mut sim = match streams {
-        Some(cache) => {
-            let shared: Vec<Arc<SharedStream>> =
-                traces.iter().map(|t| stream_for(cache, t)).collect();
-            Simulator::new_batched(cfg, key.iq, key.rf, &traces, &shared)
-        }
-        None => Simulator::new(cfg, key.iq, key.rf, &traces),
+    let mut sim = match shared {
+        Some(shared) => Simulator::new_batched(cfg, key.iq, key.rf, traces, &shared),
+        None => Simulator::new(cfg, key.iq, key.rf, traces),
     };
     if opts.validate {
         // Invariant suite + differential oracle, fail-fast: a violation
@@ -932,6 +1052,171 @@ mod tests {
         let sweeps2 = Sweeps::with_store(tiny_opts(), &dir).unwrap();
         sweeps2.smt_batch(&ws, &combos);
         assert_eq!(sweeps2.counters().store.unwrap().hits, 0);
+    }
+
+    /// Two suite workloads plus two that reuse their traces: one pairs a
+    /// trace of each, one runs the same trace on both threads.
+    fn repeating_workloads(skip: usize) -> Vec<Workload> {
+        let ws: Vec<Workload> = suite().into_iter().skip(skip).take(2).collect();
+        let reuse = |name: &str, traces: [TraceSpec; 2]| Workload {
+            name: name.to_string(),
+            traces,
+            ..ws[0].clone()
+        };
+        let cross = reuse(
+            "reuse/cross",
+            [ws[0].traces[0].clone(), ws[1].traces[1].clone()],
+        );
+        let twin = reuse(
+            "reuse/twin",
+            [ws[1].traces[0].clone(), ws[1].traces[0].clone()],
+        );
+        vec![ws[0].clone(), ws[1].clone(), cross, twin]
+    }
+
+    fn distinct_traces(ws: &[Workload]) -> u64 {
+        let keys: std::collections::HashSet<StreamKey> =
+            ws.iter().flat_map(|w| &w.traces).map(stream_key).collect();
+        keys.len() as u64
+    }
+
+    fn streams_held(sweeps: &Sweeps) -> usize {
+        sweeps.streams.0.lock().entries.len()
+    }
+
+    #[test]
+    fn batch_frees_every_stream_and_matches_per_config() {
+        let ws = repeating_workloads(10);
+        let combos = [
+            (
+                SchemeKind::Icount,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+            (
+                SchemeKind::Cssp,
+                RegFileSchemeKind::Cdprf,
+                CfgKind::RfStudy { regs: 64 },
+            ),
+        ];
+        let per_config = Sweeps::new(ExpOptions {
+            jobs: 1,
+            ..tiny_opts()
+        });
+        let batched = Sweeps::new(ExpOptions {
+            jobs: 2,
+            batch: true,
+            ..tiny_opts()
+        });
+        for sweeps in [&per_config, &batched] {
+            sweeps.smt_batch(&ws, &combos);
+            assert_eq!(streams_held(sweeps), 0, "smt batch left a stream");
+            sweeps.single_batch(&ws, CfgKind::Baseline);
+            assert_eq!(streams_held(sweeps), 0, "single batch left a stream");
+        }
+        let mut keys: Vec<RunKey> = ws
+            .iter()
+            .flat_map(|w| combos.map(|(iq, rf, cfg)| Sweeps::smt_key(w, iq, rf, cfg)))
+            .collect();
+        keys.extend(
+            ws.iter()
+                .flat_map(|w| &w.traces)
+                .map(|t| Sweeps::single_key(t, CfgKind::Baseline)),
+        );
+        for key in &keys {
+            let a = serde_json::to_string(&per_config.get(key)).unwrap();
+            let b = serde_json::to_string(&batched.get(key)).unwrap();
+            assert_eq!(a, b, "batched result diverged for {key:?}");
+        }
+        assert_eq!(per_config.counters().streams, None);
+        let c = batched.counters().streams.unwrap();
+        assert!(c.peak_held >= 1 && c.peak_held <= distinct_traces(&ws));
+    }
+
+    #[test]
+    fn serial_batch_decodes_each_trace_once_per_ensure() {
+        let ws = repeating_workloads(12);
+        let distinct = distinct_traces(&ws);
+        let combos = [
+            (
+                SchemeKind::Icount,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+            (
+                SchemeKind::Cssp,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+        ];
+        let sweeps = Sweeps::new(ExpOptions {
+            jobs: 1,
+            batch: true,
+            ..tiny_opts()
+        });
+        sweeps.smt_batch(&ws, &combos);
+        let c = sweeps.counters().streams.unwrap();
+        assert_eq!(c.decoded, distinct, "a trace was evicted and re-decoded");
+        assert_eq!(streams_held(&sweeps), 0);
+        // A later batch over the same traces decodes each again.
+        sweeps.single_batch(&ws, CfgKind::Baseline);
+        assert_eq!(sweeps.counters().streams.unwrap().decoded, 2 * distinct);
+        assert_eq!(streams_held(&sweeps), 0);
+    }
+
+    #[test]
+    fn retried_batch_job_keeps_its_stream() {
+        let _guard = INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Workloads no other test in this binary simulates. The first
+        // workload's first job panics once; a lease released per attempt
+        // instead of per job would evict the trace it shares with
+        // `reuse/cross` early and force a second decode.
+        let ws = repeating_workloads(40);
+        let combos = [
+            (
+                SchemeKind::Icount,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+            (
+                SchemeKind::Cssp,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+        ];
+        let opts = ExpOptions {
+            jobs: 1,
+            batch: true,
+            ..tiny_opts()
+        };
+        let clean = Sweeps::new(opts);
+        clean.smt_batch(&ws, &combos);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        fault_injection::arm(&ws[0].name, 1);
+        let retried = Sweeps::new(opts);
+        retried.smt_batch(&ws, &combos);
+        let leftover = fault_injection::disarm();
+        std::panic::set_hook(hook);
+        assert_eq!(leftover, 0, "the injected panic must have fired");
+        let c = retried.counters();
+        assert_eq!((c.orch.retries, c.orch.failures), (1, 0));
+        assert_eq!(
+            c.streams.unwrap().decoded,
+            distinct_traces(&ws),
+            "the retry lost its stream"
+        );
+        assert_eq!(streams_held(&retried), 0);
+        for w in &ws {
+            for &(iq, rf, cfg) in &combos {
+                let key = Sweeps::smt_key(w, iq, rf, cfg);
+                assert_eq!(
+                    serde_json::to_string(&clean.get(&key)).unwrap(),
+                    serde_json::to_string(&retried.get(&key)).unwrap(),
+                    "{key:?}"
+                );
+            }
+        }
     }
 
     #[test]

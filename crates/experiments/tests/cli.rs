@@ -222,6 +222,29 @@ fn no_store_disables_persistence() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Only a `--batch` summary counts shared streams. With one worker the
+/// count is exact: the artifact's one workload decodes its two traces
+/// once, however many schemes read them.
+#[test]
+fn batch_summary_counts_stream_decodes() {
+    for (batch, line) in [
+        (true, Some("streams: 2 decoded, at most 2 held at once")),
+        (false, None),
+    ] {
+        let mut args = vec![ARTIFACT, "--no-store", "--jobs", "1"];
+        if batch {
+            args.push("--batch");
+        }
+        let out = run(&[&args, FAST].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+        let e = stderr(&out);
+        match line {
+            Some(line) => assert!(e.contains(line), "{e}"),
+            None => assert!(!e.contains("streams:"), "{e}"),
+        }
+    }
+}
+
 #[test]
 fn bad_flags_fail_fast_with_usage() {
     for (args, needle) in [

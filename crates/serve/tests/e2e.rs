@@ -301,6 +301,16 @@ fn hostile_request_lines_end_only_their_own_connection() {
     assert!(err.to_string().contains("longer than"), "{err}");
     let err = hostile(b"{\"Status\":{\"jo");
     assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+    // Nesting far past the JSON parser's depth bound, in a line far under
+    // the size cap: rejected as bad JSON, not a stack overflow that takes
+    // the whole daemon down.
+    for level in ["[", "{\"a\":"] {
+        let mut nested = level.repeat(20_000).into_bytes();
+        nested.push(b'\n');
+        let err = hostile(&nested);
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    }
 
     // A client that half-closes after a complete request still gets its
     // answer, and its connection ends cleanly.

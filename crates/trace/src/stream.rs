@@ -16,6 +16,14 @@
 //! position `n` always sees the same uop a private generator would have
 //! produced as its `n`-th.
 //!
+//! A stream keeps every chunk it has published for as long as it lives.
+//! The batched sweep runner therefore holds each stream only while runs
+//! of its batch still need it: the cache drops its `Arc` when the last
+//! such run finishes (readers still running keep theirs), and a later
+//! batch over the same trace decodes it again, to identical bytes. On
+//! the benchmark's `loop-long` workload (96 streams of ~55k uops) that
+//! takes peak RSS from ~297 MB to ~53 MB.
+//!
 //! Wrong-path injection is *not* shared: it depends on machine state
 //! (which branches mispredict, how long recovery takes), so every
 //! simulator keeps its private [`crate::WrongPathSource`].
