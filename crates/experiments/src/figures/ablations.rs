@@ -8,24 +8,46 @@
 //!   probing the paper's claim that communication is largely hidden by
 //!   multithreaded execution.
 
+use super::suite;
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_trace::suite::{self, Category};
+use csmt_trace::suite::{Category, WorkloadKind};
 use csmt_trace::Workload;
 use csmt_types::{RegFileSchemeKind, SchemeKind};
 
 /// Representative sample: the first MIX workload of every category (the
 /// workloads most sensitive to steering and communication).
 fn sample() -> Vec<Workload> {
-    let all = suite::suite();
     Category::all()
         .into_iter()
         .filter_map(|c| {
-            all.iter()
-                .find(|w| w.category == c && w.kind == suite::WorkloadKind::Mix)
+            suite()
+                .iter()
+                .find(|w| w.category == c && w.kind == WorkloadKind::Mix)
                 .cloned()
         })
         .collect()
+}
+
+/// One row per workload: throughput at each grid point relative to the
+/// point at index `base`; then an AVG row.
+fn push_relative(
+    t: &mut Table,
+    sweeps: &Sweeps,
+    ws: &[Workload],
+    grid: &[(SchemeKind, RegFileSchemeKind, CfgKind)],
+    base: usize,
+    label: fn(&Workload) -> &str,
+) {
+    let runs = sweeps.smt_batch(ws, grid);
+    for (w, runs) in ws.iter().zip(runs.chunks(grid.len())) {
+        let base = runs[base].throughput().max(1e-9);
+        t.push(
+            label(w),
+            runs.iter().map(|r| r.throughput() / base).collect(),
+        );
+    }
+    t.push_average("AVG");
 }
 
 /// A1: throughput across steering thresholds, normalized to threshold 6
@@ -44,46 +66,19 @@ pub fn steering(sweeps: &Sweeps) -> Table {
             )
         })
         .collect();
-    sweeps.smt_batch(&ws, &grid);
     let mut t = Table::new(
         "Ablation A1 — steering balance threshold (Icount throughput vs thr=6)",
         "workload",
         thresholds.iter().map(|x| format!("thr{x}")).collect(),
     );
-    for w in &ws {
-        let base = sweeps
-            .get(&Sweeps::smt_key(
-                w,
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::SteerAblation { threshold: 6 },
-            ))
-            .throughput();
-        let vals = thresholds
-            .iter()
-            .map(|&thr| {
-                sweeps
-                    .get(&Sweeps::smt_key(
-                        w,
-                        SchemeKind::Icount,
-                        RegFileSchemeKind::Shared,
-                        CfgKind::SteerAblation { threshold: thr },
-                    ))
-                    .throughput()
-                    / base.max(1e-9)
-            })
-            .collect();
-        t.push(&w.name, vals);
-    }
-    t.push_average("AVG");
+    push_relative(&mut t, sweeps, &ws, &grid, 1, |w| &w.name);
     t
 }
 
 /// A2: CDPRF throughput across adaptation intervals (2^shift cycles),
 /// normalized to 2^13 (the study default).
 pub fn interval(sweeps: &Sweeps) -> Table {
-    let all = suite::suite();
-    let ws: Vec<Workload> = all
+    let ws: Vec<Workload> = suite()
         .iter()
         .filter(|w| w.category == Category::IspecFspec)
         .cloned()
@@ -99,38 +94,14 @@ pub fn interval(sweeps: &Sweeps) -> Table {
             )
         })
         .collect();
-    sweeps.smt_batch(&ws, &grid);
     let mut t = Table::new(
         "Ablation A2 — CDPRF interval (ISPEC-FSPEC throughput vs 2^13)",
         "workload",
         shifts.iter().map(|s| format!("2^{s}")).collect(),
     );
-    for w in &ws {
-        let base = sweeps
-            .get(&Sweeps::smt_key(
-                w,
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Cdprf,
-                CfgKind::IntervalAblation { shift: 13 },
-            ))
-            .throughput();
-        let vals = shifts
-            .iter()
-            .map(|&sh| {
-                sweeps
-                    .get(&Sweeps::smt_key(
-                        w,
-                        SchemeKind::Cssp,
-                        RegFileSchemeKind::Cdprf,
-                        CfgKind::IntervalAblation { shift: sh },
-                    ))
-                    .throughput()
-                    / base.max(1e-9)
-            })
-            .collect();
-        t.push(w.name.split('/').nth(1).unwrap_or(&w.name), vals);
-    }
-    t.push_average("AVG");
+    push_relative(&mut t, sweeps, &ws, &grid, 1, |w| {
+        w.name.split('/').nth(1).unwrap_or(&w.name)
+    });
     t
 }
 
@@ -154,7 +125,6 @@ pub fn links(sweeps: &Sweeps) -> Table {
             )
         })
         .collect();
-    sweeps.smt_batch(&ws, &grid);
     let mut t = Table::new(
         "Ablation A3 — inter-cluster links (CSSP throughput vs 2 links @1cy)",
         "workload",
@@ -163,38 +133,7 @@ pub fn links(sweeps: &Sweeps) -> Table {
             .map(|(l, lat)| format!("{l}x{lat}cy"))
             .collect(),
     );
-    for w in &ws {
-        let base = sweeps
-            .get(&Sweeps::smt_key(
-                w,
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Shared,
-                CfgKind::LinkAblation {
-                    links: 2,
-                    latency: 1,
-                },
-            ))
-            .throughput();
-        let vals = fabrics
-            .iter()
-            .map(|&(l, lat)| {
-                sweeps
-                    .get(&Sweeps::smt_key(
-                        w,
-                        SchemeKind::Cssp,
-                        RegFileSchemeKind::Shared,
-                        CfgKind::LinkAblation {
-                            links: l,
-                            latency: lat,
-                        },
-                    ))
-                    .throughput()
-                    / base.max(1e-9)
-            })
-            .collect();
-        t.push(&w.name, vals);
-    }
-    t.push_average("AVG");
+    push_relative(&mut t, sweeps, &ws, &grid, 1, |w| &w.name);
     t
 }
 
@@ -215,7 +154,6 @@ pub fn prefetch(sweeps: &Sweeps) -> Table {
             ));
         }
     }
-    sweeps.smt_batch(&ws, &grid);
     let mut t = Table::new(
         "Ablation A4 — prefetcher x scheme (throughput vs Icount/no-prefetch)",
         "workload",
@@ -224,33 +162,7 @@ pub fn prefetch(sweeps: &Sweeps) -> Table {
             .flat_map(|(_, n)| schemes.iter().map(move |s| format!("{s}/{n}")))
             .collect(),
     );
-    for w in &ws {
-        let base = sweeps
-            .get(&Sweeps::smt_key(
-                w,
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::PrefetchAblation { kind: 0 },
-            ))
-            .throughput();
-        let mut vals = Vec::new();
-        for &(k, _) in &kinds {
-            for &s in &schemes {
-                vals.push(
-                    sweeps
-                        .get(&Sweeps::smt_key(
-                            w,
-                            s,
-                            RegFileSchemeKind::Shared,
-                            CfgKind::PrefetchAblation { kind: k },
-                        ))
-                        .throughput()
-                        / base.max(1e-9),
-                );
-            }
-        }
-        t.push(&w.name, vals);
-    }
-    t.push_average("AVG");
+    // Icount without a prefetcher is the grid's first point.
+    push_relative(&mut t, sweeps, &ws, &grid, 0, |w| &w.name);
     t
 }

@@ -19,13 +19,14 @@
 //! * a missing or mismatched sidecar (full-run baseline, failed job)
 //!   degrades that cell to 0.0 — an absent error bar, never a crash.
 
-use super::{by_category, fig10, fig2, fign, figpair};
+use super::{by_category, fig10, fig2, fign, figpair, suite};
 use crate::report::Table;
 use crate::runner::{CfgKind, RunKey, Sweeps};
 use crate::sample::{self, SampleStats};
 use csmt_core::metrics::{fairness, fairness_n};
 use csmt_trace::suite::{bundles, Bundle, Workload};
 use csmt_types::{RegFileSchemeKind, SchemeKind, ThreadId};
+use std::sync::Arc;
 
 /// Per-interval series of a scalar metric for one run, when that run was
 /// sampled.
@@ -39,23 +40,46 @@ fn series(
 
 /// Half-width of the paired ratio `num_i / den_i` across intervals;
 /// 0.0 when either sidecar is absent or the interval counts disagree.
-fn paired_half(num: Option<Vec<f64>>, den: Option<Vec<f64>>) -> f64 {
+fn paired_half(num: Option<&[f64]>, den: Option<&[f64]>) -> f64 {
     match (num, den) {
-        (Some(n), Some(d)) if n.len() == d.len() => sample::ratio_ci(&n, &d).1,
+        (Some(n), Some(d)) if n.len() == d.len() => sample::ratio_ci(n, d).1,
         _ => 0.0,
+    }
+}
+
+/// Half-width of a metric's mean across one run's intervals; 0.0 when
+/// the run has no sidecar.
+fn mean_half(values: Option<Vec<f64>>) -> f64 {
+    values.map(|vs| sample::mean_ci(&vs).1).unwrap_or(0.0)
+}
+
+/// Column-wise RSS combination of `width`-wide half-width rows, each
+/// column combined in row order.
+fn combine_columns<R: AsRef<[f64]>>(rows: &[R], width: usize) -> Vec<f64> {
+    (0..width)
+        .map(|j| {
+            let halves: Vec<f64> = rows.iter().map(|r| r.as_ref()[j]).collect();
+            sample::combine_halves(&halves)
+        })
+        .collect()
+}
+
+/// One row per category from per-workload half-width rows: a category's
+/// cell RSS-combines its workloads' half-widths in that column, in suite
+/// order. Each run's sidecar is read once per workload.
+fn push_category_halves(t: &mut Table, row: impl Fn(&Workload) -> Vec<f64>) {
+    let width = t.columns.len();
+    let rows: Vec<Vec<f64>> = suite().iter().map(row).collect();
+    for (c, group) in by_category(&rows) {
+        t.push(c.name(), combine_columns(&group, width));
     }
 }
 
 /// Append the combined-row (`AVG`-style) line: each column's half-width
 /// is the RSS-combination of the body rows' half-widths.
 fn push_combined(t: &mut Table, label: &str) {
-    let cols = t.columns.len();
-    let combined: Vec<f64> = (0..cols)
-        .map(|j| {
-            let halves: Vec<f64> = t.rows.iter().map(|(_, vals)| vals[j]).collect();
-            sample::combine_halves(&halves)
-        })
-        .collect();
+    let rows: Vec<&[f64]> = t.rows.iter().map(|(_, vals)| vals.as_slice()).collect();
+    let combined = combine_columns(&rows, t.columns.len());
     t.push(label, combined);
 }
 
@@ -71,41 +95,20 @@ pub fn fig2_ci(sweeps: &Sweeps) -> Table {
         "category",
         columns,
     );
-    for (c, ws) in by_category() {
-        let vals: Vec<f64> = fig2::combos()
+    push_category_halves(&mut t, |w| {
+        let tput = |s, iq| {
+            series(
+                sweeps,
+                &Sweeps::smt_key(w, s, RegFileSchemeKind::Shared, CfgKind::IqStudy { iq }),
+                |r| r.throughput(),
+            )
+        };
+        let den = tput(SchemeKind::Icount, 32);
+        fig2::combos()
             .into_iter()
-            .map(|(s, iq)| {
-                let halves: Vec<f64> = ws
-                    .iter()
-                    .map(|w| {
-                        let num = series(
-                            sweeps,
-                            &Sweeps::smt_key(
-                                w,
-                                s,
-                                RegFileSchemeKind::Shared,
-                                CfgKind::IqStudy { iq },
-                            ),
-                            |r| r.throughput(),
-                        );
-                        let den = series(
-                            sweeps,
-                            &Sweeps::smt_key(
-                                w,
-                                SchemeKind::Icount,
-                                RegFileSchemeKind::Shared,
-                                CfgKind::IqStudy { iq: 32 },
-                            ),
-                            |r| r.throughput(),
-                        );
-                        paired_half(num, den)
-                    })
-                    .collect();
-                sample::combine_halves(&halves)
-            })
-            .collect();
-        t.push(c.name(), vals);
-    }
+            .map(|(s, iq)| paired_half(tput(s, iq).as_deref(), den.as_deref()))
+            .collect()
+    });
     push_combined(&mut t, "AVG");
     t
 }
@@ -118,32 +121,18 @@ pub fn fig4_ci(sweeps: &Sweeps) -> Table {
         "category",
         columns,
     );
-    for (c, ws) in by_category() {
-        let vals: Vec<f64> = SchemeKind::all()
+    push_category_halves(&mut t, |w| {
+        SchemeKind::all()
             .into_iter()
             .map(|s| {
-                let halves: Vec<f64> = ws
-                    .iter()
-                    .map(|w| {
-                        series(
-                            sweeps,
-                            &Sweeps::smt_key(
-                                w,
-                                s,
-                                RegFileSchemeKind::Shared,
-                                CfgKind::IqStudy { iq: 32 },
-                            ),
-                            |r| r.iq_stalls_per_retired(),
-                        )
-                        .map(|vs| sample::mean_ci(&vs).1)
-                        .unwrap_or(0.0)
-                    })
-                    .collect();
-                sample::combine_halves(&halves)
+                mean_half(series(
+                    sweeps,
+                    &Sweeps::smt_key(w, s, RegFileSchemeKind::Shared, CfgKind::IqStudy { iq: 32 }),
+                    |r| r.iq_stalls_per_retired(),
+                ))
             })
-            .collect();
-        t.push(c.name(), vals);
-    }
+            .collect()
+    });
     push_combined(&mut t, "AVG");
     t
 }
@@ -152,7 +141,7 @@ pub fn fig4_ci(sweeps: &Sweeps) -> Table {
 /// workload: interval `i` pairs the SMT run's window `i` with the two
 /// solo baselines' windows `i` — all three sample the same program
 /// regions, so the series is the sampled analogue of
-/// [`fig10::workload_fairness`].
+/// [`fig10::workload_fairness`] for one pair.
 fn fairness_series(
     sweeps: &Sweeps,
     w: &Workload,
@@ -201,28 +190,18 @@ pub fn fig10_ci(sweeps: &Sweeps) -> Table {
         "category",
         columns,
     );
-    for (c, ws) in by_category() {
-        let vals: Vec<f64> = fig10::SERIES
+    push_category_halves(&mut t, |w| {
+        let den = fairness_series(sweeps, w, SchemeKind::Icount, RegFileSchemeKind::Shared);
+        fig10::SERIES
             .iter()
             .map(|&(_, iq, rf)| {
-                let halves: Vec<f64> = ws
-                    .iter()
-                    .map(|w| {
-                        let num = fairness_series(sweeps, w, iq, rf);
-                        let den = fairness_series(
-                            sweeps,
-                            w,
-                            SchemeKind::Icount,
-                            RegFileSchemeKind::Shared,
-                        );
-                        paired_half(num, den)
-                    })
-                    .collect();
-                sample::combine_halves(&halves)
+                paired_half(
+                    fairness_series(sweeps, w, iq, rf).as_deref(),
+                    den.as_deref(),
+                )
             })
-            .collect();
-        t.push(c.name(), vals);
-    }
+            .collect()
+    });
     push_combined(&mut t, "Average");
     t
 }
@@ -236,7 +215,7 @@ fn bundle_fairness_series(
     cfg: CfgKind,
 ) -> Option<Vec<f64>> {
     let smt = sweeps.get_ci(&Sweeps::bundle_key(b, iq, rf, cfg))?;
-    let alone: Vec<SampleStats> = b
+    let alone: Vec<Arc<SampleStats>> = b
         .traces
         .iter()
         .map(|spec| sweeps.get_ci(&Sweeps::single_key(spec, cfg)))
@@ -303,12 +282,12 @@ pub fn fign_ci(sweeps: &Sweeps) -> Table {
                         &Sweeps::bundle_key(b, s, RegFileSchemeKind::Shared, iq_cfg),
                         |r| r.throughput(),
                     );
-                    paired_half(num, icount_tp.clone())
+                    paired_half(num.as_deref(), icount_tp.as_deref())
                 })
                 .collect();
             for &(_, s, rf) in &fign::RF_SERIES {
                 let num = bundle_fairness_series(sweeps, b, s, rf, rf_cfg);
-                vals.push(paired_half(num, icount_fair.clone()));
+                vals.push(paired_half(num.as_deref(), icount_fair.as_deref()));
             }
             t.push(&format!("{threads}x{clusters}:{}", b.name), vals);
         }
@@ -336,28 +315,18 @@ pub fn figpair_ci(sweeps: &Sweeps) -> Table {
         "category",
         columns,
     );
-    let tp_series = |sweeps: &Sweeps, w: &Workload, j: usize| {
-        let (_, s, rf) = figpair::combos()[j];
-        series(sweeps, &Sweeps::smt_key(w, s, rf, cfg), |r| r.throughput())
-    };
-    for (c, ws) in by_category() {
-        let vals: Vec<f64> = (0..5)
-            .map(|j| {
-                let halves: Vec<f64> = ws
-                    .iter()
-                    .map(|w| match j {
-                        0..=2 => tp_series(sweeps, w, j)
-                            .map(|vs| sample::mean_ci(&vs).1)
-                            .unwrap_or(0.0),
-                        3 => paired_half(tp_series(sweeps, w, 2), tp_series(sweeps, w, 1)),
-                        _ => 0.0,
-                    })
-                    .collect();
-                sample::combine_halves(&halves)
-            })
-            .collect();
-        t.push(c.name(), vals);
-    }
+    push_category_halves(&mut t, |w| {
+        let [shared, fixed, adaptive] = figpair::combos()
+            .map(|(_, s, rf)| series(sweeps, &Sweeps::smt_key(w, s, rf, cfg), |r| r.throughput()));
+        let adapt_static = paired_half(adaptive.as_deref(), fixed.as_deref());
+        vec![
+            mean_half(shared),
+            mean_half(fixed),
+            mean_half(adaptive),
+            adapt_static,
+            0.0,
+        ]
+    });
     push_combined(&mut t, "AVG");
     t
 }

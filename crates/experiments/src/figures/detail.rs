@@ -2,21 +2,20 @@
 //! the tool used while calibrating the reproduction, kept as a CLI command
 //! (`csmt-experiments detail:<workload-name>`).
 
+use super::suite;
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_trace::suite;
 use csmt_types::{RegFileSchemeKind, SchemeKind, ThreadId};
 
 /// Build the detail table for one suite workload.
 pub fn run(sweeps: &Sweeps, workload_name: &str) -> Option<Table> {
-    let all = suite::suite();
-    let w = all.iter().find(|w| w.name == workload_name)?;
+    let w = suite().iter().find(|w| w.name == workload_name)?;
     let cfg = CfgKind::IqStudy { iq: 32 };
     let grid: Vec<_> = SchemeKind::all()
         .into_iter()
         .map(|s| (s, RegFileSchemeKind::Shared, cfg))
         .collect();
-    sweeps.smt_batch(std::slice::from_ref(w), &grid);
+    let runs = sweeps.smt_batch(std::slice::from_ref(w), &grid);
 
     let mut t = Table::new(
         &format!(
@@ -35,8 +34,7 @@ pub fn run(sweeps: &Sweeps, workload_name: &str) -> Option<Table> {
             "squashed".into(),
         ],
     );
-    for s in SchemeKind::all() {
-        let r = sweeps.get(&Sweeps::smt_key(w, s, RegFileSchemeKind::Shared, cfg));
+    for (s, r) in SchemeKind::all().into_iter().zip(runs) {
         t.push(
             s.name(),
             vec![

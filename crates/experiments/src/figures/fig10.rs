@@ -5,13 +5,12 @@
 //! slowdowns versus running alone on the same machine. The single-thread
 //! baselines run Icount/Shared (a lone thread with the full machine).
 
-use super::by_category;
+use super::{push_category_means, suite};
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_core::metrics::fairness;
-use csmt_trace::suite;
-use csmt_trace::suite::Workload;
+use csmt_core::metrics::{fairness, SimResult};
 use csmt_types::{RegFileSchemeKind, SchemeKind, ThreadId};
+use std::sync::Arc;
 
 /// (label, iq scheme, rf scheme) series of Figure 10.
 pub const SERIES: [(&str, SchemeKind, RegFileSchemeKind); 4] = [
@@ -23,30 +22,34 @@ pub const SERIES: [(&str, SchemeKind, RegFileSchemeKind); 4] = [
 
 pub const REGS: usize = 64;
 
-/// Fairness of one scheme on one workload.
-pub fn workload_fairness(
-    sweeps: &Sweeps,
-    w: &Workload,
-    iq: SchemeKind,
-    rf: RegFileSchemeKind,
-) -> f64 {
-    let cfg = CfgKind::RfStudy { regs: REGS };
-    let smt = sweeps.get(&Sweeps::smt_key(w, iq, rf, cfg));
-    let alone0 = sweeps.get(&Sweeps::single_key(&w.traces[0], cfg));
-    let alone1 = sweeps.get(&Sweeps::single_key(&w.traces[1], cfg));
-    fairness(
-        [smt.ipc(ThreadId(0)), smt.ipc(ThreadId(1))],
-        [alone0.ipc(ThreadId(0)), alone1.ipc(ThreadId(0))],
-    )
+/// Fairness of each SMT run of one workload against its two solo
+/// baselines.
+pub fn workload_fairness(smt: &[Arc<SimResult>], alone: &[Arc<SimResult>]) -> Vec<f64> {
+    let alone = [alone[0].ipc(ThreadId(0)), alone[1].ipc(ThreadId(0))];
+    smt.iter()
+        .map(|r| fairness([r.ipc(ThreadId(0)), r.ipc(ThreadId(1))], alone))
+        .collect()
 }
 
 pub fn run(sweeps: &Sweeps) -> Table {
-    let workloads = suite::suite();
     let cfg = CfgKind::RfStudy { regs: REGS };
     let mut grid: Vec<_> = SERIES.iter().map(|&(_, iq, rf)| (iq, rf, cfg)).collect();
     grid.push((SchemeKind::Icount, RegFileSchemeKind::Shared, cfg));
-    sweeps.smt_batch(&workloads, &grid);
-    sweeps.single_batch(&workloads, cfg);
+    let smt = sweeps.smt_batch(suite(), &grid);
+    let alone = sweeps.single_batch(suite(), cfg);
+    let rows: Vec<Vec<f64>> = smt
+        .chunks(grid.len())
+        .zip(alone.chunks(2))
+        .map(|(smt, alone)| {
+            let fair = workload_fairness(smt, alone);
+            // The Icount base is the grid's last point.
+            let (&base, series) = fair.split_last().expect("non-empty grid");
+            series
+                .iter()
+                .map(|f| if base > 0.0 { f / base } else { 1.0 })
+                .collect()
+        })
+        .collect();
 
     let columns: Vec<String> = SERIES.iter().map(|(n, _, _)| n.to_string()).collect();
     let mut t = Table::new(
@@ -54,31 +57,7 @@ pub fn run(sweeps: &Sweeps) -> Table {
         "category",
         columns,
     );
-    for (c, ws) in by_category() {
-        let vals: Vec<f64> = SERIES
-            .iter()
-            .map(|&(_, iq, rf)| {
-                ws.iter()
-                    .map(|w| {
-                        let f = workload_fairness(sweeps, w, iq, rf);
-                        let base = workload_fairness(
-                            sweeps,
-                            w,
-                            SchemeKind::Icount,
-                            RegFileSchemeKind::Shared,
-                        );
-                        if base > 0.0 {
-                            f / base
-                        } else {
-                            1.0
-                        }
-                    })
-                    .sum::<f64>()
-                    / ws.len() as f64
-            })
-            .collect();
-        t.push(c.name(), vals);
-    }
+    push_category_means(&mut t, &rows);
     t.push_average("Average");
     t
 }

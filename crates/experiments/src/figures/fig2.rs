@@ -2,10 +2,9 @@
 //! issue-queue entries per cluster, register files and ROB unbounded,
 //! normalized per workload to Icount with 32 entries.
 
-use super::category_table;
+use super::{category_table, suite};
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_trace::suite;
 use csmt_types::{RegFileSchemeKind, SchemeKind};
 
 /// Workloads of the fig2 slice — one per suite region, stable names. The
@@ -38,32 +37,28 @@ pub fn combos() -> Vec<(SchemeKind, usize)> {
 }
 
 pub fn run(sweeps: &Sweeps) -> Table {
-    let workloads = suite();
-    let grid: Vec<_> = combos()
-        .into_iter()
-        .map(|(s, iq)| (s, RegFileSchemeKind::Shared, CfgKind::IqStudy { iq }))
+    let combos = combos();
+    let grid: Vec<_> = combos
+        .iter()
+        .map(|&(s, iq)| (s, RegFileSchemeKind::Shared, CfgKind::IqStudy { iq }))
         .collect();
-    sweeps.smt_batch(&workloads, &grid);
+    let base = combos
+        .iter()
+        .position(|&c| c == (SchemeKind::Icount, 32))
+        .expect("the grid holds the Icount@32 base");
+    let rows: Vec<Vec<f64>> = sweeps
+        .smt_batch(suite(), &grid)
+        .chunks(grid.len())
+        .map(|runs| {
+            let base = runs[base].throughput().max(1e-9);
+            runs.iter().map(|r| r.throughput() / base).collect()
+        })
+        .collect();
 
-    let columns: Vec<String> = combos().iter().map(|(s, iq)| format!("{s}/{iq}")).collect();
+    let columns: Vec<String> = combos.iter().map(|(s, iq)| format!("{s}/{iq}")).collect();
     category_table(
         "Figure 2 — throughput speedup vs Icount@32 (IQ study)",
         columns,
-        |w, j| {
-            let (s, iq) = combos()[j];
-            let base = sweeps.get(&Sweeps::smt_key(
-                w,
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ));
-            let r = sweeps.get(&Sweeps::smt_key(
-                w,
-                s,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq },
-            ));
-            r.throughput() / base.throughput().max(1e-9)
-        },
+        &rows,
     )
 }

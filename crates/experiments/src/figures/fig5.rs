@@ -5,10 +5,9 @@
 //! while the other cluster had no ("0") or at least one ("1") compatible
 //! free port. "1" fractions are direct evidence of imbalance.
 
-use super::by_category;
+use super::{by_category, suite};
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_trace::suite;
 use csmt_types::{ImbalanceKind, RegFileSchemeKind, SchemeKind};
 
 /// The schemes Figure 5 compares.
@@ -20,12 +19,12 @@ pub const SCHEMES: [SchemeKind; 4] = [
 ];
 
 pub fn run(sweeps: &Sweeps) -> Table {
-    let workloads = suite();
     let grid: Vec<_> = SCHEMES
         .into_iter()
         .map(|s| (s, RegFileSchemeKind::Shared, CfgKind::IqStudy { iq: 32 }))
         .collect();
-    sweeps.smt_batch(&workloads, &grid);
+    let runs = sweeps.smt_batch(suite(), &grid);
+    let per_workload: Vec<_> = runs.chunks(grid.len()).collect();
 
     let mut columns = Vec::new();
     for avail in 0..2 {
@@ -38,24 +37,18 @@ pub fn run(sweeps: &Sweeps) -> Table {
         "category/scheme",
         columns,
     );
-    for (c, ws) in by_category() {
-        for s in SCHEMES {
+    for (c, group) in by_category(&per_workload) {
+        for (j, s) in SCHEMES.into_iter().enumerate() {
             let mut acc = vec![0.0; 6];
-            for w in &ws {
-                let r = sweeps.get(&Sweeps::smt_key(
-                    w,
-                    s,
-                    RegFileSchemeKind::Shared,
-                    CfgKind::IqStudy { iq: 32 },
-                ));
-                let f = r.imbalance_fractions();
+            for runs in &group {
+                let f = runs[j].imbalance_fractions();
                 for (ki, k) in ImbalanceKind::all().into_iter().enumerate() {
                     acc[ki] += f[k.idx()][0];
                     acc[3 + ki] += f[k.idx()][1];
                 }
             }
             for v in &mut acc {
-                *v /= ws.len() as f64;
+                *v /= group.len() as f64;
             }
             t.push(&format!("{}/{}", c.name(), s), acc);
         }

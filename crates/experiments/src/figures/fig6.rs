@@ -2,10 +2,9 @@
 //! physical registers per cluster, normalized per workload to Icount with
 //! 64 registers (32-entry issue queues, Table-1 memory system).
 
-use super::category_table;
+use super::{category_table, suite};
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_trace::suite;
 use csmt_types::{RegFileSchemeKind, SchemeKind};
 
 /// The (rf-scheme, regs) grid of Figure 6. All run CSSP issue queues.
@@ -31,7 +30,6 @@ fn series_name(rf: RegFileSchemeKind) -> &'static str {
 }
 
 pub fn run(sweeps: &Sweeps) -> Table {
-    let workloads = suite();
     let mut grid: Vec<_> = combos()
         .into_iter()
         .map(|(rf, regs)| (SchemeKind::Cssp, rf, CfgKind::RfStudy { regs }))
@@ -41,7 +39,16 @@ pub fn run(sweeps: &Sweeps) -> Table {
         RegFileSchemeKind::Shared,
         CfgKind::RfStudy { regs: 64 },
     ));
-    sweeps.smt_batch(&workloads, &grid);
+    let rows: Vec<Vec<f64>> = sweeps
+        .smt_batch(suite(), &grid)
+        .chunks(grid.len())
+        .map(|runs| {
+            // The Icount@64regs base is the grid's last point.
+            let (base, series) = runs.split_last().expect("non-empty grid");
+            let base = base.throughput().max(1e-9);
+            series.iter().map(|r| r.throughput() / base).collect()
+        })
+        .collect();
 
     let columns: Vec<String> = combos()
         .iter()
@@ -50,21 +57,6 @@ pub fn run(sweeps: &Sweeps) -> Table {
     category_table(
         "Figure 6 — throughput vs Icount@64regs (RF study, CSSP IQs)",
         columns,
-        |w, j| {
-            let (rf, regs) = combos()[j];
-            let base = sweeps.get(&Sweeps::smt_key(
-                w,
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::RfStudy { regs: 64 },
-            ));
-            let r = sweeps.get(&Sweeps::smt_key(
-                w,
-                SchemeKind::Cssp,
-                rf,
-                CfgKind::RfStudy { regs },
-            ));
-            r.throughput() / base.throughput().max(1e-9)
-        },
+        &rows,
     )
 }

@@ -5,9 +5,10 @@
 //! 64 registers per cluster: the configuration where the register file is
 //! actually contended and the static/dynamic partitioning trade-off shows.
 
+use super::{column_means, suite};
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_trace::suite::{self, Category};
+use csmt_trace::suite::Category;
 use csmt_types::{RegFileSchemeKind, SchemeKind};
 
 pub const RF_SERIES: [RegFileSchemeKind; 4] = [
@@ -27,25 +28,23 @@ fn series_name(rf: RegFileSchemeKind) -> &'static str {
 }
 
 pub fn run(sweeps: &Sweeps) -> Table {
-    let all = suite::suite();
     let cfg = CfgKind::RfStudy { regs: REGS };
     let mut grid: Vec<_> = RF_SERIES
         .into_iter()
         .map(|rf| (SchemeKind::Cssp, rf, cfg))
         .collect();
     grid.push((SchemeKind::Icount, RegFileSchemeKind::Shared, cfg));
-    sweeps.smt_batch(&all, &grid);
-
-    let norm = |w: &suite::Workload, rf: RegFileSchemeKind| {
-        let base = sweeps.get(&Sweeps::smt_key(
-            w,
-            SchemeKind::Icount,
-            RegFileSchemeKind::Shared,
-            cfg,
-        ));
-        let r = sweeps.get(&Sweeps::smt_key(w, SchemeKind::Cssp, rf, cfg));
-        r.throughput() / base.throughput().max(1e-9)
-    };
+    // Each workload's throughput per series vs Icount.
+    let norm: Vec<Vec<f64>> = sweeps
+        .smt_batch(suite(), &grid)
+        .chunks(grid.len())
+        .map(|runs| {
+            // The Icount base is the grid's last point.
+            let (base, series) = runs.split_last().expect("non-empty grid");
+            let base = base.throughput().max(1e-9);
+            series.iter().map(|r| r.throughput() / base).collect()
+        })
+        .collect();
 
     let columns: Vec<String> = RF_SERIES.iter().map(|rf| series_name(*rf).into()).collect();
     let mut t = Table::new(
@@ -53,20 +52,14 @@ pub fn run(sweeps: &Sweeps) -> Table {
         "workload",
         columns,
     );
-    let isfs: Vec<_> = all
-        .iter()
-        .filter(|w| w.category == Category::IspecFspec)
-        .collect();
-    for w in &isfs {
-        let short = w.name.split('/').nth(1).unwrap_or(&w.name);
-        t.push(short, RF_SERIES.iter().map(|rf| norm(w, *rf)).collect());
+    for (w, row) in suite().iter().zip(&norm) {
+        if w.category == Category::IspecFspec {
+            let short = w.name.split('/').nth(1).unwrap_or(&w.name);
+            t.push(short, row.clone());
+        }
     }
     t.push_average("AVG");
     // AVG All: mean over the whole suite.
-    let avg_all: Vec<f64> = RF_SERIES
-        .iter()
-        .map(|rf| all.iter().map(|w| norm(w, *rf)).sum::<f64>() / all.len() as f64)
-        .collect();
-    t.push("AVG All", avg_all);
+    t.push("AVG All", column_means(&norm, RF_SERIES.len()));
     t
 }

@@ -14,8 +14,10 @@
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
 use csmt_core::fairness_n;
-use csmt_trace::suite::{bundles, Bundle};
+use csmt_core::metrics::SimResult;
+use csmt_trace::suite::bundles;
 use csmt_types::{RegFileSchemeKind, SchemeKind, ThreadId};
+use std::sync::Arc;
 
 /// The scaled shapes: (threads, clusters).
 pub const SHAPES: [(usize, usize); 2] = [(4, 2), (4, 4)];
@@ -59,26 +61,16 @@ fn rf_cfg(threads: usize, clusters: usize) -> CfgKind {
     }
 }
 
-/// Fairness of one (scheme, rf) pair on one bundle at one shape:
-/// `fairness_n` over every thread's slowdown vs running alone on the
-/// same scaled machine.
-fn bundle_fairness(
-    sweeps: &Sweeps,
-    b: &Bundle,
-    iq: SchemeKind,
-    rf: RegFileSchemeKind,
-    cfg: CfgKind,
-) -> f64 {
-    let smt = sweeps.get(&Sweeps::bundle_key(b, iq, rf, cfg));
-    let smt_ipc: Vec<f64> = (0..b.traces.len())
-        .map(|t| smt.ipc(ThreadId(t as u8)))
-        .collect();
-    let alone_ipc: Vec<f64> = b
-        .traces
-        .iter()
-        .map(|spec| sweeps.get(&Sweeps::single_key(spec, cfg)).ipc(ThreadId(0)))
-        .collect();
-    fairness_n(&smt_ipc, &alone_ipc)
+/// Fairness of each SMT run of one bundle: `fairness_n` over every
+/// thread's slowdown vs running alone on the same scaled machine.
+fn bundle_fairness(smt: &[Arc<SimResult>], alone: &[Arc<SimResult>]) -> Vec<f64> {
+    let alone_ipc: Vec<f64> = alone.iter().map(|r| r.ipc(ThreadId(0))).collect();
+    smt.iter()
+        .map(|r| {
+            let smt_ipc: Vec<f64> = (0..alone.len()).map(|t| r.ipc(ThreadId(t as u8))).collect();
+            fairness_n(&smt_ipc, &alone_ipc)
+        })
+        .collect()
 }
 
 pub fn run(sweeps: &Sweeps) -> Table {
@@ -98,6 +90,9 @@ pub fn run(sweeps: &Sweeps) -> Table {
         let iq_cfg = iq_cfg(threads, clusters);
         let rf_cfg = rf_cfg(threads, clusters);
 
+        // Per bundle: the throughput series and their Icount base on
+        // the IQ machine, then the fairness series and their
+        // Icount/Shared base on the RF machine.
         let mut grid: Vec<_> = IQ_SERIES
             .iter()
             .map(|&(_, s)| (s, RegFileSchemeKind::Shared, iq_cfg))
@@ -107,41 +102,29 @@ pub fn run(sweeps: &Sweeps) -> Table {
             grid.push((s, rf, rf_cfg));
         }
         grid.push((SchemeKind::Icount, RegFileSchemeKind::Shared, rf_cfg));
-        sweeps.bundle_batch(&bs, &grid);
-        sweeps.bundle_single_batch(&bs, rf_cfg);
+        let smt = sweeps.bundle_batch(&bs, &grid);
+        let alone = sweeps.bundle_single_batch(&bs, rf_cfg);
 
-        for b in &bs {
-            let icount_tp = sweeps
-                .get(&Sweeps::bundle_key(
-                    b,
-                    SchemeKind::Icount,
-                    RegFileSchemeKind::Shared,
-                    iq_cfg,
-                ))
-                .throughput();
-            let icount_fair = bundle_fairness(
-                sweeps,
-                b,
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                rf_cfg,
-            );
-            let mut vals: Vec<f64> = IQ_SERIES
+        let n = IQ_SERIES.len();
+        for ((b, runs), alone) in bs
+            .iter()
+            .zip(smt.chunks(grid.len()))
+            .zip(alone.chunks(threads))
+        {
+            let icount_tp = runs[n].throughput();
+            let mut vals: Vec<f64> = runs[..n]
                 .iter()
-                .map(|&(_, s)| {
-                    let r =
-                        sweeps.get(&Sweeps::bundle_key(b, s, RegFileSchemeKind::Shared, iq_cfg));
-                    r.throughput() / icount_tp.max(1e-9)
-                })
+                .map(|r| r.throughput() / icount_tp.max(1e-9))
                 .collect();
-            for &(_, s, rf) in &RF_SERIES {
-                let f = bundle_fairness(sweeps, b, s, rf, rf_cfg);
-                vals.push(if icount_fair > 0.0 {
+            let fair = bundle_fairness(&runs[n + 1..], alone);
+            let (&icount_fair, series) = fair.split_last().expect("non-empty grid");
+            vals.extend(series.iter().map(|f| {
+                if icount_fair > 0.0 {
                     f / icount_fair
                 } else {
                     1.0
-                });
-            }
+                }
+            }));
             t.push(&format!("{threads}x{clusters}:{}", b.name), vals);
         }
     }

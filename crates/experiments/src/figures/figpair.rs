@@ -19,10 +19,9 @@
 //! the adaptive pair strictly beats both the shared and the static
 //! regime — pairings whose winner the feedback changes.
 
-use super::category_table;
+use super::{category_table, suite};
 use crate::report::Table;
 use crate::runner::{CfgKind, Sweeps};
-use csmt_trace::suite;
 use csmt_types::{RegFileSchemeKind, SchemeKind};
 
 /// Registers per cluster and class of the pairing-sweep machine.
@@ -42,12 +41,26 @@ fn cfg() -> CfgKind {
 }
 
 pub fn run(sweeps: &Sweeps) -> Table {
-    let workloads = suite();
     let grid: Vec<_> = combos()
         .into_iter()
         .map(|(_, s, rf)| (s, rf, cfg()))
         .collect();
-    sweeps.smt_batch(&workloads, &grid);
+    let rows: Vec<Vec<f64>> = sweeps
+        .smt_batch(suite(), &grid)
+        .chunks(grid.len())
+        .map(|runs| {
+            let [shared, fixed, adaptive] = [0, 1, 2].map(|j| runs[j].throughput());
+            vec![
+                shared,
+                fixed,
+                adaptive,
+                adaptive / fixed.max(1e-9),
+                // 1 when the adaptive regime strictly wins this pairing;
+                // category rows then read as the flipped fraction.
+                (adaptive > fixed && adaptive > shared) as u8 as f64,
+            ]
+        })
+        .collect();
 
     let mut columns: Vec<String> = combos()
         .iter()
@@ -55,21 +68,9 @@ pub fn run(sweeps: &Sweeps) -> Table {
         .collect();
     columns.push("Adapt/Static".to_string());
     columns.push("Flips".to_string());
-    let tp = |w: &csmt_trace::suite::Workload, j: usize| {
-        let (_, s, rf) = combos()[j];
-        sweeps.get(&Sweeps::smt_key(w, s, rf, cfg())).throughput()
-    };
     category_table(
         "figPair — pairing sweep: Shared vs Static vs Adaptive (RF96 machine)",
         columns,
-        |w, j| match j {
-            0..=2 => tp(w, j),
-            3 => tp(w, 2) / tp(w, 1).max(1e-9),
-            _ => {
-                // 1 when the adaptive regime strictly wins this pairing;
-                // category rows then read as the flipped fraction.
-                (tp(w, 2) > tp(w, 1) && tp(w, 2) > tp(w, 0)) as u8 as f64
-            }
-        },
+        &rows,
     )
 }

@@ -19,44 +19,53 @@ pub mod tables;
 
 use crate::report::Table;
 use crate::runner::Sweeps;
-use csmt_trace::suite;
 use csmt_trace::suite::{Category, Workload};
+use std::sync::OnceLock;
 
-/// The suite grouped by category, in the paper's reporting order.
-pub fn by_category() -> Vec<(Category, Vec<Workload>)> {
-    let all = suite();
-    Category::all()
-        .into_iter()
-        .map(|c| (c, all.iter().filter(|w| w.category == c).cloned().collect()))
-        .collect()
+/// The Table-2 suite, generated once per process: every figure render
+/// reads it, and a warm render would otherwise spend a quarter of its
+/// time regenerating it.
+pub fn suite() -> &'static [Workload] {
+    static SUITE: OnceLock<Vec<Workload>> = OnceLock::new();
+    SUITE.get_or_init(csmt_trace::suite::suite)
 }
 
-/// Mean of `f` over the workloads of each category; returns
-/// (category name, mean) rows in reporting order.
-pub fn category_means<F: Fn(&Workload) -> f64>(f: F) -> Vec<(String, f64)> {
-    by_category()
+/// Per-workload `rows` (one per [`suite`] workload, in suite order)
+/// grouped by category in the paper's reporting order, each group in
+/// suite order.
+pub fn by_category<R>(rows: &[R]) -> Vec<(Category, Vec<&R>)> {
+    assert_eq!(rows.len(), suite().len(), "one row per suite workload");
+    Category::all()
         .into_iter()
-        .map(|(c, ws)| {
-            let mean = ws.iter().map(&f).sum::<f64>() / ws.len() as f64;
-            (c.name().to_string(), mean)
+        .map(|c| {
+            let group = suite().iter().zip(rows).filter(|(w, _)| w.category == c);
+            (c, group.map(|(_, r)| r).collect())
         })
         .collect()
 }
 
-/// Build a category×column table from a per-workload metric: each column
-/// `j` uses `metric(workload, j)`; an AVG row of category means is added.
-pub fn category_table<F: Fn(&Workload, usize) -> f64>(
-    title: &str,
-    columns: Vec<String>,
-    metric: F,
-) -> Table {
-    let mut t = Table::new(title, "category", columns.clone());
-    for (c, ws) in by_category() {
-        let vals: Vec<f64> = (0..columns.len())
-            .map(|j| ws.iter().map(|w| metric(w, j)).sum::<f64>() / ws.len() as f64)
-            .collect();
-        t.push(c.name(), vals);
+/// Column-wise means of `width`-wide rows, each column summed in row
+/// order.
+pub fn column_means<R: AsRef<[f64]>>(rows: &[R], width: usize) -> Vec<f64> {
+    (0..width)
+        .map(|j| rows.iter().map(|r| r.as_ref()[j]).sum::<f64>() / rows.len() as f64)
+        .collect()
+}
+
+/// Push one row per category: the column means of its workloads' rows
+/// (one row per suite workload, in suite order).
+pub fn push_category_means(t: &mut Table, rows: &[Vec<f64>]) {
+    let width = t.columns.len();
+    for (c, group) in by_category(rows) {
+        t.push(c.name(), column_means(&group, width));
     }
+}
+
+/// A category×column table from one row per suite workload, plus an AVG
+/// row of category means.
+pub fn category_table(title: &str, columns: Vec<String>, rows: &[Vec<f64>]) -> Table {
+    let mut t = Table::new(title, "category", columns);
+    push_category_means(&mut t, rows);
     t.push_average("AVG");
     t
 }

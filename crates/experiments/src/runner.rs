@@ -164,12 +164,29 @@ pub struct RunKey {
 
 /// What a key simulates. Boxed: a 2-trace workload carries two full
 /// profiles and would dominate the variant size otherwise.
-#[derive(Clone)]
 enum RunInput {
     Smt(Box<Workload>),
     Single(Box<TraceSpec>),
     /// An N-thread bundle for scaled machine shapes.
     Bundle(Box<Bundle>),
+}
+
+impl From<Workload> for RunInput {
+    fn from(w: Workload) -> Self {
+        RunInput::Smt(Box::new(w))
+    }
+}
+
+impl From<TraceSpec> for RunInput {
+    fn from(spec: TraceSpec) -> Self {
+        RunInput::Single(Box::new(spec))
+    }
+}
+
+impl From<Bundle> for RunInput {
+    fn from(b: Bundle) -> Self {
+        RunInput::Bundle(Box::new(b))
+    }
 }
 
 impl RunInput {
@@ -369,12 +386,14 @@ impl Drop for StreamLease<'_> {
     }
 }
 
-/// Memoizing run store.
+/// Memoizing run store. The memo shares each result (`Arc`) instead of
+/// copying it: a figure over an already-memoized grid reads every run in
+/// place and builds no [`RunInput`].
 pub struct Sweeps {
     pub opts: ExpOptions,
-    results: Mutex<HashMap<RunKey, SimResult>>,
+    results: Mutex<HashMap<RunKey, Arc<SimResult>>>,
     /// Per-interval sampling sidecars, populated only for sampled runs.
-    ci: Mutex<HashMap<RunKey, SampleStats>>,
+    ci: Mutex<HashMap<RunKey, Arc<SampleStats>>>,
     store: Option<Arc<ResultStore>>,
     /// Checkpoint + sidecar cache, colocated with the result store
     /// (`<store>/artifacts/`); `None` without a store.
@@ -531,19 +550,40 @@ impl Sweeps {
         }
     }
 
-    /// Ensure all (key, input) pairs are simulated; memoized in-process
-    /// and, when a store is attached, on disk.
-    fn ensure(&self, batch: Vec<(RunKey, RunInput)>) {
+    /// The shared results of a batch of (key, input) pairs, in batch
+    /// order. The memo answers under one lock; only on a miss is a
+    /// [`RunInput`] built and the run served from the persistent store or
+    /// simulated (see [`Sweeps::fill`]), so a warm figure copies nothing.
+    fn ensure<I>(&self, batch: &[(RunKey, &I)]) -> Vec<Arc<SimResult>>
+    where
+        I: Clone + Into<RunInput>,
+    {
         let missing: Vec<(RunKey, RunInput)> = {
             let map = self.results.lock();
-            batch
-                .into_iter()
-                .filter(|(k, _)| !map.contains_key(k))
-                .collect()
+            let mut shared = Vec::with_capacity(batch.len());
+            let mut missing = Vec::new();
+            for &(ref key, input) in batch {
+                match map.get(key) {
+                    Some(result) => shared.push(result.clone()),
+                    None => missing.push((key.clone(), input.clone().into())),
+                }
+            }
+            if missing.is_empty() {
+                return shared;
+            }
+            missing
         };
-        if missing.is_empty() {
-            return;
-        }
+        self.fill(missing);
+        let map = self.results.lock();
+        batch
+            .iter()
+            .map(|(key, _)| map.get(key).expect("filled run is memoized").clone())
+            .collect()
+    }
+
+    /// Memoize every missing run: served from the persistent store when
+    /// it has the run, simulated otherwise.
+    fn fill(&self, missing: Vec<(RunKey, RunInput)>) {
         // Warm phase: serve what the persistent store already has. A
         // sampled run is only a hit when its sidecar is also present and
         // parses — a pooled result without its per-interval measurements
@@ -557,13 +597,13 @@ impl Sweeps {
                     let hit = match store.get(&skey) {
                         Lookup::Hit(result) => match self.opts.sample {
                             None => {
-                                self.results.lock().insert(key.clone(), result);
+                                self.results.lock().insert(key.clone(), Arc::new(result));
                                 true
                             }
                             Some(_) => match self.stored_sidecar(&skey) {
                                 Some(stats) => {
-                                    self.results.lock().insert(key.clone(), result);
-                                    self.ci.lock().insert(key.clone(), stats);
+                                    self.results.lock().insert(key.clone(), Arc::new(result));
+                                    self.ci.lock().insert(key.clone(), Arc::new(stats));
                                     true
                                 }
                                 None => false,
@@ -663,9 +703,9 @@ impl Sweeps {
         let mut ci = self.ci.lock();
         for ((key, _), (result, stats)) in todo.into_iter().zip(results) {
             if let Some(stats) = stats {
-                ci.insert(key.clone(), stats);
+                ci.insert(key.clone(), Arc::new(stats));
             }
-            map.insert(key, result);
+            map.insert(key, Arc::new(result));
         }
         drop(ci);
         drop(map);
@@ -674,84 +714,80 @@ impl Sweeps {
         }
     }
 
-    /// Run (or fetch) a batch of SMT runs over `workloads`.
+    /// Run (or fetch) a batch of SMT runs over `workloads`; returns the
+    /// shared results workload-major (each workload's `combos` in order).
     pub fn smt_batch(
         &self,
         workloads: &[Workload],
         combos: &[(SchemeKind, RegFileSchemeKind, CfgKind)],
-    ) {
-        let mut batch = Vec::new();
-        for w in workloads {
-            for &(iq, rf, cfg) in combos {
-                batch.push((
-                    Sweeps::smt_key(w, iq, rf, cfg),
-                    RunInput::Smt(Box::new(w.clone())),
-                ));
-            }
-        }
-        self.ensure(batch);
+    ) -> Vec<Arc<SimResult>> {
+        let batch: Vec<_> = workloads
+            .iter()
+            .flat_map(|w| {
+                combos
+                    .iter()
+                    .map(move |&(iq, rf, cfg)| (Sweeps::smt_key(w, iq, rf, cfg), w))
+            })
+            .collect();
+        self.ensure(&batch)
     }
 
     /// Run (or fetch) single-thread baselines for every trace of the
-    /// workloads.
-    pub fn single_batch(&self, workloads: &[Workload], cfg: CfgKind) {
-        let mut batch = Vec::new();
-        for w in workloads {
-            for spec in &w.traces {
-                batch.push((
-                    Sweeps::single_key(spec, cfg),
-                    RunInput::Single(Box::new(spec.clone())),
-                ));
-            }
-        }
-        self.ensure(batch);
+    /// workloads; returns the shared results in trace order.
+    pub fn single_batch(&self, workloads: &[Workload], cfg: CfgKind) -> Vec<Arc<SimResult>> {
+        let batch: Vec<_> = workloads
+            .iter()
+            .flat_map(|w| &w.traces)
+            .map(|spec| (Sweeps::single_key(spec, cfg), spec))
+            .collect();
+        self.ensure(&batch)
     }
 
-    /// Run (or fetch) a batch of SMT runs over N-thread bundles.
+    /// Run (or fetch) a batch of SMT runs over N-thread bundles; returns
+    /// the shared results bundle-major.
     pub fn bundle_batch(
         &self,
         bundles: &[Bundle],
         combos: &[(SchemeKind, RegFileSchemeKind, CfgKind)],
-    ) {
-        let mut batch = Vec::new();
-        for b in bundles {
-            for &(iq, rf, cfg) in combos {
-                batch.push((
-                    Sweeps::bundle_key(b, iq, rf, cfg),
-                    RunInput::Bundle(Box::new(b.clone())),
-                ));
-            }
-        }
-        self.ensure(batch);
+    ) -> Vec<Arc<SimResult>> {
+        let batch: Vec<_> = bundles
+            .iter()
+            .flat_map(|b| {
+                combos
+                    .iter()
+                    .map(move |&(iq, rf, cfg)| (Sweeps::bundle_key(b, iq, rf, cfg), b))
+            })
+            .collect();
+        self.ensure(&batch)
     }
 
     /// Run (or fetch) single-thread baselines for every trace of the
-    /// bundles (solo on the same scaled machine, for fairness).
-    pub fn bundle_single_batch(&self, bundles: &[Bundle], cfg: CfgKind) {
-        let mut batch = Vec::new();
-        for b in bundles {
-            for spec in &b.traces {
-                batch.push((
-                    Sweeps::single_key(spec, cfg),
-                    RunInput::Single(Box::new(spec.clone())),
-                ));
-            }
-        }
-        self.ensure(batch);
+    /// bundles (solo on the same scaled machine, for fairness); returns
+    /// the shared results in trace order.
+    pub fn bundle_single_batch(&self, bundles: &[Bundle], cfg: CfgKind) -> Vec<Arc<SimResult>> {
+        let batch: Vec<_> = bundles
+            .iter()
+            .flat_map(|b| &b.traces)
+            .map(|spec| (Sweeps::single_key(spec, cfg), spec))
+            .collect();
+        self.ensure(&batch)
     }
 
-    /// Fetch a memoized result (must have been ensured).
+    /// An owned copy of a memoized result (must have been ensured).
+    /// Figures read the shared results the batch calls return instead,
+    /// which copies nothing.
     pub fn get(&self, key: &RunKey) -> SimResult {
-        self.results
-            .lock()
-            .get(key)
-            .unwrap_or_else(|| panic!("run not simulated: {key:?}"))
-            .clone()
+        SimResult::clone(
+            self.results
+                .lock()
+                .get(key)
+                .unwrap_or_else(|| panic!("run not simulated: {key:?}")),
+        )
     }
 
     /// Per-interval sampling sidecar of a run, if the run was sampled.
     /// `None` for full runs, failed jobs, and keys never ensured.
-    pub fn get_ci(&self, key: &RunKey) -> Option<SampleStats> {
+    pub fn get_ci(&self, key: &RunKey) -> Option<Arc<SampleStats>> {
         self.ci.lock().get(key).cloned()
     }
 
@@ -881,6 +917,81 @@ mod tests {
         let k = Sweeps::smt_key(&ws[0], combos[0].0, combos[0].1, combos[0].2);
         let r = sweeps.get(&k);
         assert!(r.throughput() > 0.0);
+    }
+
+    #[test]
+    fn warm_batches_simulate_nothing() {
+        let sweeps = Sweeps::new(tiny_opts());
+        let ws: Vec<_> = suite().into_iter().take(2).collect();
+        let bs: Vec<_> = suite::bundles(4).into_iter().take(1).collect();
+        let combos = [
+            (
+                SchemeKind::Icount,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+            (
+                SchemeKind::Cssp,
+                RegFileSchemeKind::Cdprf,
+                CfgKind::RfStudy { regs: 64 },
+            ),
+        ];
+        let scaled = CfgKind::ScaledIq {
+            threads: 4,
+            clusters: 2,
+            iq: 32,
+        };
+        let all_batches = || {
+            sweeps.smt_batch(&ws, &combos);
+            sweeps.single_batch(&ws, CfgKind::Baseline);
+            sweeps.bundle_batch(
+                &bs,
+                &[(SchemeKind::Icount, RegFileSchemeKind::Shared, scaled)],
+            );
+            sweeps.bundle_single_batch(&bs, scaled);
+        };
+        all_batches();
+        let cold = sweeps.counters();
+        assert_eq!(cold.orch.completed, 4 + 4 + 1 + 4);
+        all_batches();
+        let warm = sweeps.counters();
+        assert_eq!(warm.exec, cold.exec, "a warm batch reached the executor");
+        assert_eq!(warm.orch, cold.orch, "a warm batch simulated");
+        // The shared results come back workload-major and match the
+        // owned copies.
+        let shared = sweeps.smt_batch(&ws, &combos);
+        let keys = ws
+            .iter()
+            .flat_map(|w| combos.map(|(iq, rf, cfg)| Sweeps::smt_key(w, iq, rf, cfg)));
+        assert_eq!(shared.len(), ws.len() * combos.len());
+        for (result, key) in shared.iter().zip(keys) {
+            assert_eq!(
+                serde_json::to_string(&**result).unwrap(),
+                serde_json::to_string(&sweeps.get(&key)).unwrap(),
+                "{key:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_fig2_renders_byte_identically() {
+        let sweeps = Sweeps::new(ExpOptions {
+            commit_target: 50,
+            warmup: 0,
+            ..tiny_opts()
+        });
+        let render = || -> Vec<String> {
+            crate::figures::run_named_all("fig2", &sweeps)
+                .expect("fig2 is an artifact")
+                .iter()
+                .map(|(_, t)| t.to_json())
+                .collect()
+        };
+        let cold = render();
+        let counters = sweeps.counters();
+        assert_eq!(counters.orch.completed, 120 * 14);
+        assert_eq!(render(), cold, "warm fig2 differs from the cold render");
+        assert_eq!(sweeps.counters(), counters, "warm fig2 simulated");
     }
 
     #[test]

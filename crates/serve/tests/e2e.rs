@@ -3,7 +3,9 @@
 //! only the accept loop is skipped.
 
 use csmt_experiments::client::{run_on, ClientConfig, Outcome};
-use csmt_experiments::proto::{read_response, write_line, Request, Response, MAX_REQUEST_LINE};
+use csmt_experiments::proto::{
+    read_response, write_line, JobEvent, Request, Response, MAX_REQUEST_LINE,
+};
 use csmt_experiments::runner::ExpOptions;
 use csmt_experiments::spec::JobSpec;
 use csmt_experiments::{figures, Sweeps};
@@ -189,7 +191,7 @@ fn identical_inflight_submissions_attach_to_one_job() {
         loop {
             match read_response(r).unwrap().unwrap() {
                 Response::Event { event, .. } => {
-                    if let csmt_experiments::proto::JobEvent::Finished { state } = event {
+                    if let JobEvent::Finished { state } = event {
                         assert_eq!(state, "done");
                         break;
                     }
@@ -417,7 +419,7 @@ fn status_cancel_and_stats_endpoints() {
     loop {
         match read_response(&mut r).unwrap().unwrap() {
             Response::Event { event, .. } => {
-                if let csmt_experiments::proto::JobEvent::Finished { state } = event {
+                if let JobEvent::Finished { state } = event {
                     assert_eq!(state, "cancelled");
                     break;
                 }
@@ -474,4 +476,53 @@ fn shutdown_drains_and_stops() {
             ..
         }
     ));
+}
+
+/// Submit `spec` on a fresh connection and stream its events to the
+/// end: the rendered `(artifact, table_json)` pairs, in order.
+fn tables_of(server: &Server, spec: &JobSpec) -> Vec<(String, String)> {
+    let (mut r, mut w) = connect(server);
+    write_line(&mut w, &Request::Submit { spec: spec.clone() }).unwrap();
+    let Response::Submitted {
+        job,
+        attached: false,
+    } = read_response(&mut r).unwrap().unwrap()
+    else {
+        panic!("expected a fresh job");
+    };
+    write_line(&mut w, &Request::Events { job }).unwrap();
+    let mut tables = Vec::new();
+    loop {
+        match read_response(&mut r).unwrap().unwrap() {
+            Response::Event { event, .. } => match event {
+                JobEvent::ArtifactDone { name, table_json } => tables.push((name, table_json)),
+                JobEvent::Finished { state } => {
+                    assert_eq!(state, "done");
+                    return tables;
+                }
+                _ => {}
+            },
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn warm_fig2_resubmission_is_byte_identical_and_simulates_nothing() {
+    let dir = tmp("warm-fig2");
+    let srv = server(&dir, 8, 1);
+    let opts = ExpOptions {
+        commit_target: 50,
+        warmup: 0,
+        ..tiny_opts()
+    };
+    let fig2 = spec(&["fig2"], &opts);
+    let cold = tables_of(&srv, &fig2);
+    assert_eq!(cold.len(), 1);
+    let sims = srv.stats().sims_completed;
+    assert_eq!(sims, 120 * 14, "the cold job simulates the whole grid");
+    // The second job is answered from the daemon's in-memory memo.
+    let warm = tables_of(&srv, &fig2);
+    assert_eq!(warm, cold, "warm fig2 table_json differs");
+    assert_eq!(srv.stats().sims_completed, sims, "warm fig2 simulated");
 }

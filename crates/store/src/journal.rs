@@ -114,16 +114,18 @@ impl Journal {
         let root = store_root.as_ref();
         fs::create_dir_all(root)?;
         let path = root.join("journal.jsonl");
-        let run_id = Self::read(&path)
-            .iter()
-            .map(|e| e.run_id)
-            .max()
-            .unwrap_or(0)
-            + 1;
-        let file = fs::OpenOptions::new()
+        let bytes = fs::read(&path).unwrap_or_default();
+        let run_id = parse(&bytes).iter().map(|e| e.run_id).max().unwrap_or(0) + 1;
+        let mut file = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)?;
+        // A crash mid-write leaves a torn final line with no newline. End
+        // it, or this run's first event would fuse with the fragment and
+        // be skipped as unparseable on read.
+        if bytes.last().is_some_and(|&b| b != b'\n') {
+            file.write_all(b"\n")?;
+        }
         Ok(Journal {
             path,
             run_id,
@@ -153,9 +155,11 @@ impl Journal {
             kind,
         };
         w.seq += 1;
-        if let Ok(line) = serde_json::to_string(&event) {
+        if let Ok(mut line) = serde_json::to_string(&event) {
+            // One write per line: a crash can tear the line, but never
+            // separate it from its newline.
+            line.push('\n');
             let _ = w.file.write_all(line.as_bytes());
-            let _ = w.file.write_all(b"\n");
             let _ = w.file.flush();
         }
     }
@@ -167,14 +171,7 @@ impl Journal {
     /// not discard the whole journal the way a failed
     /// `read_to_string` would.
     pub fn read(path: impl AsRef<Path>) -> Vec<Event> {
-        let Ok(bytes) = fs::read(path) else {
-            return Vec::new();
-        };
-        bytes
-            .split(|&b| b == b'\n')
-            .filter_map(|l| std::str::from_utf8(l).ok())
-            .filter_map(|l| serde_json::from_str::<Event>(l).ok())
-            .collect()
+        fs::read(path).map(|b| parse(&b)).unwrap_or_default()
     }
 
     /// Artifacts that ran to completion in the most recent *unfinished*
@@ -204,6 +201,15 @@ impl Journal {
             Some(done)
         }
     }
+}
+
+/// The events of a journal's bytes, skipping lines that do not parse.
+fn parse(bytes: &[u8]) -> Vec<Event> {
+    bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|l| std::str::from_utf8(l).ok())
+        .filter_map(|l| serde_json::from_str::<Event>(l).ok())
+        .collect()
 }
 
 #[cfg(test)]
@@ -311,9 +317,17 @@ mod tests {
         text.push_str("{\"run_id\":1,\"seq\":9,\"kind\""); // simulated crash mid-write
         fs::write(&path, text).unwrap();
         assert_eq!(Journal::read(&path).len(), 1);
-        // And the next run still gets a fresh id.
+        // And the next run still gets a fresh id, and its first event
+        // starts a line of its own instead of fusing with the fragment.
         let j = Journal::open(&dir).unwrap();
         assert_eq!(j.run_id(), 2);
+        j.log(EventKind::RunStart { artifacts: vec![] });
+        drop(j);
+        let runs: Vec<(u64, u64)> = Journal::read(&path)
+            .iter()
+            .map(|e| (e.run_id, e.seq))
+            .collect();
+        assert_eq!(runs, [(1, 0), (2, 0)], "run 2's first event was lost");
     }
 
     #[test]

@@ -9,6 +9,10 @@
 #   warm     the same command again, served from the store
 #   client1  } two concurrent `client` runs against a csmt-serve daemon
 #   client2  } on a fresh store
+#   memo     one more client run against the same daemon: every run is
+#            already in its in-memory memo, so the tables (the `-ci`
+#            companions of sampled sets included) render from shared
+#            memoized results without simulating or reading the store
 #   restart  kill -9 the daemon, remove its socket, restart it on the same
 #            store, then one more client run
 #
@@ -96,6 +100,7 @@ for set in "${SETS[@]}"; do
     c2=$!
     wait "$c1"
     wait "$c2"
+    leg memo "$BIN" client --socket "$sock" "${args[@]}"
     stop_daemon
     start_daemon "$work/serve-store"
     leg restart "$BIN" client --socket "$sock" "${args[@]}"
