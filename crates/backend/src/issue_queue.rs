@@ -83,15 +83,6 @@ impl IssueQueue {
         self.entries.iter().copied().zip(self.meta.iter().copied())
     }
 
-    /// Iterate `(uop id, owning thread)` pairs oldest-first (introspection
-    /// for the invariant checker).
-    pub fn iter_with_owner(&self) -> impl Iterator<Item = (u32, ThreadId)> + '_ {
-        self.entries
-            .iter()
-            .copied()
-            .zip(self.owners.iter().copied())
-    }
-
     /// Occupancy conservation: the per-thread counters add up to the entry
     /// count and match the owner list.
     pub fn conserves_occupancy(&self) -> bool {
@@ -100,13 +91,6 @@ impl IssueQueue {
             counted[t.idx()] += 1;
         }
         counted == self.per_thread && self.entries.len() == self.owners.len()
-    }
-
-    /// The entry ids and their metadata words, age-ordered, with the
-    /// metadata mutable: the select loop caches per-entry wakeup hints in
-    /// spare metadata bits while it scans.
-    pub fn entries_and_meta_mut(&mut self) -> (&[u32], &mut [u64]) {
-        (&self.entries, &mut self.meta)
     }
 
     /// Remove a specific uop (after it issues). Returns whether it was

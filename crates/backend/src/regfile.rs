@@ -61,13 +61,6 @@ impl RegFile {
         self.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The raw occupancy words (bit `r` of word `r / 64` = register `r`
-    /// allocated). Dense read-only view for validators and occupancy
-    /// scans.
-    pub fn occupancy_words(&self) -> &[u64] {
-        &self.occupied
-    }
-
     /// An effectively infinite register file (Figure-2 study).
     pub fn unbounded() -> Self {
         let mut rf = RegFile::new(256);

@@ -91,10 +91,6 @@ pub trait Validator: Send {
 /// The validator set armed on a simulator.
 pub struct CheckSuite {
     validators: Vec<Box<dyn Validator>>,
-    violations: Vec<Violation>,
-    /// Panic on the first violation (default). Cleared for
-    /// mutation-testing harnesses that want to *collect* violations.
-    fail_fast: bool,
     /// Staging buffer reused across hook calls.
     staged: Vec<Violation>,
 }
@@ -110,8 +106,6 @@ impl CheckSuite {
                 Box::new(RobFifo::default()),
                 Box::new(CdprfMirror::default()),
             ],
-            violations: Vec::new(),
-            fail_fast: true,
             staged: Vec::new(),
         }
     }
@@ -120,8 +114,6 @@ impl CheckSuite {
     pub fn empty() -> Self {
         CheckSuite {
             validators: Vec::new(),
-            violations: Vec::new(),
-            fail_fast: true,
             staged: Vec::new(),
         }
     }
@@ -148,26 +140,12 @@ impl CheckSuite {
         self.add(Box::new(OracleCheck::at(specs, offsets)));
     }
 
-    pub fn set_fail_fast(&mut self, fail_fast: bool) {
-        self.fail_fast = fail_fast;
-    }
-
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
-    }
-
+    /// Panic on the first violation the hooks staged, if any.
     fn absorb(&mut self, now: u64) {
-        if self.staged.is_empty() {
-            return;
-        }
-        for v in self.staged.iter_mut() {
+        if let Some(v) = self.staged.first_mut() {
             v.cycle = now;
-        }
-        if self.fail_fast {
-            let v = &self.staged[0];
             panic!("architectural invariant violated {v}");
         }
-        self.violations.append(&mut self.staged);
     }
 
     pub(crate) fn on_dispatch(&mut self, sim: &Simulator, id: u32) {

@@ -49,7 +49,7 @@ pub mod tracelog;
 
 pub use check::{CheckSuite, UopView, Validator, Violation};
 pub use checkpoint::{Checkpoint, ThreadCheckpoint, CHECKPOINT_SCHEMA};
-pub use metrics::{fairness, fairness_n, FigureRow, SimResult, SimStats};
+pub use metrics::{fairness, fairness_n, SimResult, SimStats};
 pub use perf::{EpochStats, PerfCounters};
 pub use pipeline::{SimBuilder, Simulator};
 pub use probe::MachineSnapshot;

@@ -210,17 +210,6 @@ pub fn fairness_n(smt_ipc: &[f64], alone_ipc: &[f64]) -> f64 {
     lo / hi
 }
 
-/// One labeled data point of a reproduced figure (scheme × category ×
-/// value) — the experiment harness emits tables of these.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FigureRow {
-    pub figure: String,
-    pub category: String,
-    pub scheme: String,
-    pub config: String,
-    pub value: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

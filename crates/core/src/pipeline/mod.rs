@@ -1359,14 +1359,9 @@ impl Simulator {
         }
     }
 
-    /// Drop the checker entirely (also drops any recorded violations).
+    /// Drop the checker entirely.
     pub fn disable_validation(&mut self) {
         self.checker = None;
-    }
-
-    /// Whether any validator suite is armed.
-    pub fn validation_enabled(&self) -> bool {
-        self.checker.is_some()
     }
 
     /// Arm the differential oracle: an in-order replay of each thread's
@@ -1408,23 +1403,6 @@ impl Simulator {
         }
     }
 
-    /// Collect violations instead of panicking on the first one
-    /// (mutation-testing support). Fail-fast is the default.
-    pub fn set_validation_fail_fast(&mut self, fail_fast: bool) {
-        if let Some(ck) = self.checker.as_mut() {
-            ck.set_fail_fast(fail_fast);
-        }
-    }
-
-    /// Drain the violations recorded so far (empty in fail-fast mode,
-    /// which panics instead).
-    pub fn take_violations(&mut self) -> Vec<crate::check::Violation> {
-        self.checker
-            .as_mut()
-            .map(|ck| ck.take_violations())
-            .unwrap_or_default()
-    }
-
     /// Test/debug: suppress fetch on every thread (injection harnesses).
     #[doc(hidden)]
     pub fn debug_disable_fetch(&mut self) {
@@ -1449,32 +1427,6 @@ impl Simulator {
             mispredicted: false,
         });
         assert!(ok, "injection queue full");
-    }
-
-    /// Test/debug: one-line state dump.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        let mut out = String::new();
-        for th in &self.threads {
-            out.push_str(&format!(
-                "T{}[fq{} rob{} com{}] ",
-                th.id.0,
-                th.fetchq.len(),
-                th.rob.len(),
-                th.committed
-            ));
-        }
-        for id in self.threads.iter().flat_map(|t| t.rob.iter()) {
-            out.push_str(&format!(
-                "{{{} {} {:?} c{} done@{}}} ",
-                id,
-                self.slab.class(id),
-                self.slab.state(id),
-                self.slab.cluster(id).0,
-                self.slab.exec_done_at(id)
-            ));
-        }
-        out
     }
 
     /// Shared MOB occupancy (probe support).
@@ -1510,7 +1462,6 @@ impl Simulator {
 pub struct SimBuilder {
     cfg: MachineConfig,
     iq: SchemeKind,
-    iq_custom: Option<Box<dyn IqScheme>>,
     rf: RegFileSchemeKind,
     traces: Vec<TraceSpec>,
     target: u64,
@@ -1523,7 +1474,6 @@ impl SimBuilder {
         SimBuilder {
             cfg,
             iq: SchemeKind::Icount,
-            iq_custom: None,
             rf: RegFileSchemeKind::Shared,
             traces: Vec::new(),
             target: 20_000,
@@ -1534,14 +1484,6 @@ impl SimBuilder {
 
     pub fn iq_scheme(mut self, s: SchemeKind) -> Self {
         self.iq = s;
-        self
-    }
-
-    /// Use a custom issue-queue scheme (e.g. the
-    /// [`ext::HillClimb`](crate::schemes::ext::HillClimb) extension)
-    /// instead of one of the paper's Table-3 schemes.
-    pub fn iq_scheme_custom(mut self, s: Box<dyn IqScheme>) -> Self {
-        self.iq_custom = Some(s);
         self
     }
 
@@ -1588,16 +1530,7 @@ impl SimBuilder {
     }
 
     pub fn build(self) -> (Simulator, u64, u64) {
-        let mut sim = Simulator::new(self.cfg, self.iq, self.rf, &self.traces);
-        if let Some(custom) = self.iq_custom {
-            sim.iq_scheme = custom;
-            // The custom scheme's feedback appetite may differ from the
-            // stock one it replaced: re-arm the counter layer to match.
-            // Nothing has stepped yet, so a fresh window is equivalent to
-            // having built with this scheme from the start.
-            sim.perf =
-                Simulator::perf_for(&sim.cfg, sim.iq_scheme.as_ref(), sim.rf_scheme.as_ref());
-        }
+        let sim = Simulator::new(self.cfg, self.iq, self.rf, &self.traces);
         (sim, self.target, self.max_cycles)
     }
 

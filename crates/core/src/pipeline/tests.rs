@@ -353,41 +353,6 @@ fn stall_scheme_stalls_rename_under_misses() {
 }
 
 #[test]
-fn custom_hill_climb_scheme_runs_and_caps() {
-    use crate::schemes::ext::HillClimb;
-    let cfg = MachineConfig::baseline();
-    let r = crate::SimBuilder::new(cfg.clone())
-        .iq_scheme_custom(Box::new(HillClimb::new(&cfg)))
-        .workload(&csmt_trace::suite()[0])
-        .warmup(500)
-        .commit_target(2000)
-        .run();
-    assert!(r.stats.committed[0] >= 2000 && r.stats.committed[1] >= 2000);
-    assert!(r.throughput() > 0.2);
-
-    // 4 threads × 2 clusters with the validators armed and short epochs,
-    // so the moves rotate over every live (thread, cluster): the
-    // scheme-cap validator holds each thread to the bound HillClimb
-    // advertises, and no thread starves.
-    let mut cfg = MachineConfig::baseline();
-    cfg.num_threads = 4;
-    cfg.adaptive_epoch = 128;
-    cfg.validate().unwrap();
-    let scheme = HillClimb::new(&cfg);
-    assert_eq!(scheme.steered_caps().per_cluster, Some(20));
-    let mut builder = crate::SimBuilder::new(cfg).iq_scheme_custom(Box::new(scheme));
-    for spec in &csmt_trace::suite::bundles(4)[2].traces {
-        builder = builder.push_trace(spec.clone());
-    }
-    let (mut sim, _, _) = builder.build();
-    sim.enable_validation();
-    let r = sim.run_with_warmup(500, 2000, 10_000_000);
-    for t in 0..4 {
-        assert!(r.stats.committed[t] >= 2000, "thread {t} starved");
-    }
-}
-
-#[test]
 fn warmup_resets_measurement_counters() {
     let cfg = MachineConfig::baseline();
     let traces = ilp_pair();

@@ -10,12 +10,10 @@
 //! The paper's final proposal is CSSP + CDPRF.
 
 mod adaptive;
-pub mod ext;
 mod iq;
 mod rf;
 
 pub use adaptive::{Caiq, Carf, CAIQ_CAP_FLOOR};
-pub use ext::{Dcra, HillClimb, HILL_CLIMB_FLOOR};
 pub use iq::*;
 pub use rf::*;
 

@@ -609,51 +609,6 @@ mod adaptive_props {
         }
     }
 
-    // HillClimb on the same feedback layer: whatever the committed-uop
-    // windows say, moves stay among live threads, so no cluster's live
-    // caps sum past its issue queue, no cap drops below the move floor
-    // (or its initial share, if that is lower), and no cap passes the
-    // bound the scheme advertises to the cap validator.
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn hill_climb_caps_stay_within_capacity_and_floor_across_shapes(
-            n in 1usize..=8,
-            m in 1usize..=4,
-            iq_size in prop::sample::select(vec![16usize, 32, 48, 64]),
-            windows in prop::collection::vec(
-                prop::collection::vec(0u64..2000, MAX_THREADS), 1..40),
-        ) {
-            use csmt_core::schemes::{HillClimb, IqScheme, HILL_CLIMB_FLOOR};
-            let mut cfg = MachineConfig::baseline();
-            cfg.num_threads = n;
-            cfg.num_clusters = m;
-            cfg.iq_per_cluster = iq_size;
-            // Enough registers for the 8-thread rename floor.
-            cfg.int_regs_per_cluster = 512;
-            cfg.fp_regs_per_cluster = 512;
-            prop_assert!(cfg.validate().is_ok(), "{n}x{m} rejected");
-
-            let mut h = HillClimb::new(&cfg);
-            let floor = (iq_size / n).min(HILL_CLIMB_FLOOR);
-            let max_cap = h.steered_caps().per_cluster.unwrap();
-            for draws in &windows {
-                let mut ep = window(n, m, &[[0; MAX_CLUSTERS]; MAX_THREADS]);
-                ep.committed.copy_from_slice(draws);
-                h.observe_epoch(&ep);
-                for c in 0..m {
-                    let caps: Vec<usize> =
-                        (0..n).map(|t| h.cap(ThreadId(t as u8), ClusterId(c as u8))).collect();
-                    prop_assert!(caps.iter().sum::<usize>() <= iq_size,
-                        "cluster {} caps {:?} oversubscribe {} entries", c, caps, iq_size);
-                    prop_assert!(caps.iter().all(|&k| (floor..=max_cap).contains(&k)),
-                        "cluster {} caps {:?} outside [{}, {}]", c, caps, floor, max_cap);
-                }
-            }
-        }
-    }
-
     // Feedback disabled (`adaptive_epoch = 0`, i.e. epoch = ∞): the
     // counter layer is never armed and the adaptive schemes must be
     // bit-identical to their static parents over whole runs — same

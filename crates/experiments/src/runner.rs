@@ -30,9 +30,9 @@ use csmt_store::{
 use csmt_trace::stream::SharedStream;
 use csmt_trace::suite::{Bundle, TraceSpec, Workload};
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// What one run produces: the memoized (possibly pooled) result, plus
 /// the per-interval sampling sidecar when the run was sampled.
@@ -320,7 +320,7 @@ struct StreamEntry {
 impl StreamCache {
     /// Count one pending run per key (a key listed twice counts twice).
     fn reserve<'k>(&self, keys: impl IntoIterator<Item = &'k StreamKey>) {
-        let mut table = self.0.lock();
+        let mut table = self.0.lock().unwrap_or_else(|e| e.into_inner());
         for key in keys {
             table.entries.entry(key.clone()).or_default().pending += 1;
         }
@@ -330,7 +330,7 @@ impl StreamCache {
     /// runs under the cache lock: concurrent workers wanting the same
     /// trace wait for one decode instead of racing on duplicates.
     fn get(&self, key: &StreamKey, spec: &TraceSpec) -> Arc<SharedStream> {
-        let mut table = self.0.lock();
+        let mut table = self.0.lock().unwrap_or_else(|e| e.into_inner());
         let entry = table
             .entries
             .get_mut(key)
@@ -353,7 +353,7 @@ impl StreamCache {
     /// Release one pending run of `key`; the last release drops the
     /// entry and its stream.
     fn release(&self, key: &StreamKey) {
-        let mut table = self.0.lock();
+        let mut table = self.0.lock().unwrap_or_else(|e| e.into_inner());
         let Some(entry) = table.entries.get_mut(key) else {
             return;
         };
@@ -367,7 +367,7 @@ impl StreamCache {
     }
 
     fn counters(&self) -> StreamCounters {
-        self.0.lock().counters
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).counters
     }
 }
 
@@ -559,7 +559,7 @@ impl Sweeps {
         I: Clone + Into<RunInput>,
     {
         let missing: Vec<(RunKey, RunInput)> = {
-            let map = self.results.lock();
+            let map = self.results.lock().unwrap_or_else(|e| e.into_inner());
             let mut shared = Vec::with_capacity(batch.len());
             let mut missing = Vec::new();
             for &(ref key, input) in batch {
@@ -574,7 +574,7 @@ impl Sweeps {
             missing
         };
         self.fill(missing);
-        let map = self.results.lock();
+        let map = self.results.lock().unwrap_or_else(|e| e.into_inner());
         batch
             .iter()
             .map(|(key, _)| map.get(key).expect("filled run is memoized").clone())
@@ -597,13 +597,22 @@ impl Sweeps {
                     let hit = match store.get(&skey) {
                         Lookup::Hit(result) => match self.opts.sample {
                             None => {
-                                self.results.lock().insert(key.clone(), Arc::new(result));
+                                self.results
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .insert(key.clone(), Arc::new(result));
                                 true
                             }
                             Some(_) => match self.stored_sidecar(&skey) {
                                 Some(stats) => {
-                                    self.results.lock().insert(key.clone(), Arc::new(result));
-                                    self.ci.lock().insert(key.clone(), Arc::new(stats));
+                                    self.results
+                                        .lock()
+                                        .unwrap_or_else(|e| e.into_inner())
+                                        .insert(key.clone(), Arc::new(result));
+                                    self.ci
+                                        .lock()
+                                        .unwrap_or_else(|e| e.into_inner())
+                                        .insert(key.clone(), Arc::new(stats));
                                     true
                                 }
                                 None => false,
@@ -699,8 +708,8 @@ impl Sweeps {
             }
             output
         });
-        let mut map = self.results.lock();
-        let mut ci = self.ci.lock();
+        let mut map = self.results.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ci = self.ci.lock().unwrap_or_else(|e| e.into_inner());
         for ((key, _), (result, stats)) in todo.into_iter().zip(results) {
             if let Some(stats) = stats {
                 ci.insert(key.clone(), Arc::new(stats));
@@ -780,6 +789,7 @@ impl Sweeps {
         SimResult::clone(
             self.results
                 .lock()
+                .unwrap_or_else(|e| e.into_inner())
                 .get(key)
                 .unwrap_or_else(|| panic!("run not simulated: {key:?}")),
         )
@@ -788,7 +798,11 @@ impl Sweeps {
     /// Per-interval sampling sidecar of a run, if the run was sampled.
     /// `None` for full runs, failed jobs, and keys never ensured.
     pub fn get_ci(&self, key: &RunKey) -> Option<Arc<SampleStats>> {
-        self.ci.lock().get(key).cloned()
+        self.ci
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(key)
+            .cloned()
     }
 
     /// Parse and verify a persisted sampling sidecar for one store key,
@@ -804,11 +818,14 @@ impl Sweeps {
 
     /// Number of memoized runs.
     pub fn len(&self) -> usize {
-        self.results.lock().len()
+        self.results.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.results.lock().is_empty()
+        self.results
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty()
     }
 }
 
@@ -1192,7 +1209,13 @@ mod tests {
     }
 
     fn streams_held(sweeps: &Sweeps) -> usize {
-        sweeps.streams.0.lock().entries.len()
+        sweeps
+            .streams
+            .0
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entries
+            .len()
     }
 
     #[test]

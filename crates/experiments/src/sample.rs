@@ -33,7 +33,7 @@ use csmt_core::{Checkpoint, SimResult, SimStats, Simulator};
 use csmt_store::ArtifactStore;
 use csmt_trace::stream::SharedStream;
 use csmt_trace::suite::TraceSpec;
-use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind, ThreadId};
+use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -285,11 +285,6 @@ pub fn sampled_run(
         .expect("a freshly captured checkpoint restores");
     let stats = SampleStats { spec, runs };
     (stats.pooled(), stats)
-}
-
-/// Per-interval IPC of one thread across a sidecar's windows.
-pub fn ipc_series(stats: &SampleStats, thread: usize) -> Vec<f64> {
-    stats.series(|r| r.ipc(ThreadId(thread as u8)))
 }
 
 #[cfg(test)]

@@ -251,185 +251,3 @@ mod tests {
         assert_eq!(p.predict(0x900, 0b10), Some(9));
     }
 }
-
-/// Bimodal (per-PC 2-bit counter) direction predictor — the classic
-/// baseline gshare is usually compared against.
-#[derive(Debug, Clone)]
-pub struct Bimodal {
-    table: Vec<u8>,
-    index_mask: u64,
-}
-
-impl Bimodal {
-    pub fn new(entries: usize) -> Self {
-        assert!(entries.is_power_of_two());
-        Bimodal {
-            table: vec![1; entries],
-            index_mask: entries as u64 - 1,
-        }
-    }
-
-    #[inline]
-    fn index(&self, pc: u64) -> usize {
-        ((pc >> 2) & self.index_mask) as usize
-    }
-
-    pub fn predict(&self, pc: u64) -> bool {
-        self.table[self.index(pc)] >= 2
-    }
-
-    pub fn update(&mut self, pc: u64, taken: bool) -> bool {
-        let idx = self.index(pc);
-        let correct = (self.table[idx] >= 2) == taken;
-        let c = &mut self.table[idx];
-        if taken {
-            *c = (*c + 1).min(3);
-        } else {
-            *c = c.saturating_sub(1);
-        }
-        correct
-    }
-}
-
-/// McFarling-style hybrid: gshare and bimodal in parallel, a per-PC 2-bit
-/// chooser tracks which component has been right more often. Extension
-/// beyond the paper's Table-1 front-end (which is plain gshare).
-#[derive(Debug, Clone)]
-pub struct HybridPredictor {
-    gshare: Gshare,
-    bimodal: Bimodal,
-    chooser: Vec<u8>,
-    index_mask: u64,
-    predictions: u64,
-    mispredictions: u64,
-}
-
-impl HybridPredictor {
-    pub fn new(entries: usize) -> Self {
-        assert!(entries.is_power_of_two());
-        HybridPredictor {
-            gshare: Gshare::new(entries),
-            bimodal: Bimodal::new(entries),
-            chooser: vec![2; entries], // weakly prefer gshare
-            index_mask: entries as u64 - 1,
-            predictions: 0,
-            mispredictions: 0,
-        }
-    }
-
-    #[inline]
-    fn cidx(&self, pc: u64) -> usize {
-        ((pc >> 2) & self.index_mask) as usize
-    }
-
-    /// Predict the direction for `thread` at `pc`.
-    pub fn predict(&self, thread: ThreadId, pc: u64) -> bool {
-        if self.chooser[self.cidx(pc)] >= 2 {
-            self.gshare.predict(thread, pc)
-        } else {
-            self.bimodal.predict(pc)
-        }
-    }
-
-    /// Thread history (for the indirect predictor index).
-    pub fn history(&self, thread: ThreadId) -> u64 {
-        self.gshare.history(thread)
-    }
-
-    /// Update all components; returns whether the hybrid prediction (pre-
-    /// update) was correct.
-    pub fn update(&mut self, thread: ThreadId, pc: u64, taken: bool) -> bool {
-        let use_gshare = self.chooser[self.cidx(pc)] >= 2;
-        let g_correct = self.gshare.update(thread, pc, taken);
-        let b_correct = self.bimodal.update(pc, taken);
-        let correct = if use_gshare { g_correct } else { b_correct };
-        self.predictions += 1;
-        if !correct {
-            self.mispredictions += 1;
-        }
-        // Chooser moves toward the component that was exclusively right.
-        let idx = self.cidx(pc);
-        let c = &mut self.chooser[idx];
-        if g_correct && !b_correct {
-            *c = (*c + 1).min(3);
-        } else if b_correct && !g_correct {
-            *c = c.saturating_sub(1);
-        }
-        correct
-    }
-
-    pub fn mispredict_ratio(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod hybrid_tests {
-    use super::*;
-
-    const T0: ThreadId = ThreadId(0);
-
-    #[test]
-    fn bimodal_learns_bias_fast() {
-        let mut b = Bimodal::new(1024);
-        for _ in 0..3 {
-            b.update(0x40, true);
-        }
-        assert!(b.predict(0x40));
-        for _ in 0..4 {
-            b.update(0x40, false);
-        }
-        assert!(!b.predict(0x40));
-    }
-
-    #[test]
-    fn hybrid_beats_or_matches_components_on_mixed_workload() {
-        // Branch A: heavily biased (bimodal's home turf, gshare wastes
-        // warm-up on history aliases). Branch B: short loop pattern
-        // (gshare's home turf).
-        let mut g = Gshare::new(4096);
-        let mut b = Bimodal::new(4096);
-        let mut h = HybridPredictor::new(4096);
-        let mut rng = csmt_types::Prng::new(11);
-        let (mut gc, mut bc, mut hc, mut n) = (0u32, 0u32, 0u32, 0u32);
-        for i in 0..30_000u32 {
-            let (pc, taken) = if i % 3 == 0 {
-                (0x100u64, rng.chance(0.98))
-            } else {
-                (0x200u64, i % 3 == 1) // alternating within the loop slots
-            };
-            n += 1;
-            gc += g.update(T0, pc, taken) as u32;
-            bc += b.update(pc, taken) as u32;
-            hc += h.update(T0, pc, taken) as u32;
-        }
-        let (ga, ba, ha) = (
-            gc as f64 / n as f64,
-            bc as f64 / n as f64,
-            hc as f64 / n as f64,
-        );
-        assert!(
-            ha + 0.02 >= ga.max(ba),
-            "hybrid {ha:.3} must be near best of gshare {ga:.3} / bimodal {ba:.3}"
-        );
-    }
-
-    #[test]
-    fn chooser_prefers_the_right_component() {
-        let mut h = HybridPredictor::new(1024);
-        let mut rng = csmt_types::Prng::new(5);
-        // Pure-bias branch at one PC: bimodal nails it, gshare suffers
-        // history noise from an interleaved random branch.
-        for _ in 0..5_000 {
-            h.update(T0, 0x300, true);
-            h.update(T0, 0x304, rng.chance(0.5)); // noise polluting history
-        }
-        // The biased branch must now be predicted taken reliably.
-        assert!(h.predict(T0, 0x300));
-        assert!(h.mispredict_ratio() < 0.5);
-    }
-}

@@ -17,7 +17,7 @@ pub mod rename;
 pub mod rob;
 pub mod trace_cache;
 
-pub use branch_pred::{Bimodal, Gshare, HybridPredictor, IndirectPredictor};
+pub use branch_pred::{Gshare, IndirectPredictor};
 pub use fetch_queue::{FetchQueue, FetchedUop};
 pub use rename::RenameTable;
 pub use rob::Rob;

@@ -27,10 +27,6 @@ impl VictimCache {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Probe for `line`; on hit the line is removed (it moves back into
     /// the L1, swapping roles with the L1's victim).
     pub fn take(&mut self, line: u64) -> bool {

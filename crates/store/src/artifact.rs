@@ -30,13 +30,13 @@
 //! index self-heals against the records directory on open.
 
 use crate::key::fnv1a;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Bump when the record framing changes incompatibly.
 pub const ARTIFACT_SCHEMA: u32 = 1;
@@ -153,11 +153,14 @@ impl ArtifactStore {
 
     /// Number of indexed artifacts.
     pub fn len(&self) -> usize {
-        self.index.lock().len()
+        self.index.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.index.lock().is_empty()
+        self.index
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty()
     }
 
     /// Counter snapshot.
@@ -176,7 +179,13 @@ impl ArtifactStore {
     /// else is a miss, with corrupt records quarantined on the way.
     pub fn get_record(&self, kind: &str, key: &str) -> Option<String> {
         let hash = address(kind, key);
-        let file = { self.index.lock().get(&hash).cloned() };
+        let file = {
+            self.index
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get(&hash)
+                .cloned()
+        };
         let Some(file) = file else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -219,7 +228,10 @@ impl ArtifactStore {
         let from = self.root.join("records").join(file);
         let to = self.root.join("quarantine").join(file);
         let _ = fs::rename(&from, &to);
-        self.index.lock().remove(&hash);
+        self.index
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&hash);
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -270,7 +282,7 @@ impl ArtifactStore {
         })
         .expect("index entry serializes");
         {
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
             let mut f = fs::OpenOptions::new()
                 .create(true)
                 .append(true)

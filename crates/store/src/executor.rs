@@ -125,12 +125,18 @@ impl Executor {
                             // order), then sweep the siblings and steal
                             // from the back.
                             let job = {
-                                let own = deques[w].lock().unwrap().pop_front();
+                                let own = deques[w]
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .pop_front();
                                 match own {
                                     Some(i) => Some(i),
                                     None => (1..workers).find_map(|d| {
                                         let victim = (w + d) % workers;
-                                        let stolen = deques[victim].lock().unwrap().pop_back();
+                                        let stolen = deques[victim]
+                                            .lock()
+                                            .unwrap_or_else(|e| e.into_inner())
+                                            .pop_back();
                                         if stolen.is_some() {
                                             steals.fetch_add(1, Ordering::Relaxed);
                                         }

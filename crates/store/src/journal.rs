@@ -8,11 +8,11 @@
 //! what a sweep did. Lines are flushed as they are written, so the journal
 //! survives a `kill -9` mid-sweep and `--resume` can pick up from it.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Identity of one simulation job inside an event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -148,7 +148,7 @@ impl Journal {
     /// immediately; write errors are swallowed (the journal is telemetry —
     /// it must never take a sweep down).
     pub fn log(&self, kind: EventKind) {
-        let mut w = self.writer.lock();
+        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let event = Event {
             run_id: self.run_id,
             seq: w.seq,

@@ -24,13 +24,13 @@
 
 use crate::key::{fnv1a, StoreKey, SCHEMA_VERSION};
 use csmt_core::SimResult;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Outcome of a store lookup.
 ///
@@ -165,11 +165,14 @@ impl ResultStore {
 
     /// Number of indexed records.
     pub fn len(&self) -> usize {
-        self.index.lock().len()
+        self.index.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.index.lock().is_empty()
+        self.index
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty()
     }
 
     /// Counter snapshot.
@@ -188,7 +191,13 @@ impl ResultStore {
     /// corrupt records quarantined on the way.
     pub fn get(&self, key: &StoreKey) -> Lookup {
         let hash = key.content_hash();
-        let file = { self.index.lock().get(&hash).cloned() };
+        let file = {
+            self.index
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get(&hash)
+                .cloned()
+        };
         let Some(file) = file else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Lookup::Miss;
@@ -232,7 +241,10 @@ impl ResultStore {
         let from = self.root.join("records").join(file);
         let to = self.root.join("quarantine").join(file);
         let _ = fs::rename(&from, &to);
-        self.index.lock().remove(&hash);
+        self.index
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&hash);
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -286,7 +298,7 @@ impl ResultStore {
         {
             // Serialize concurrent appends through the index lock so lines
             // never interleave.
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
             let mut f = fs::OpenOptions::new()
                 .create(true)
                 .append(true)

@@ -23,7 +23,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod gen;
-pub mod io;
 pub mod oracle;
 pub mod profile;
 pub mod program;
@@ -32,10 +31,9 @@ pub mod stream;
 pub mod suite;
 
 pub use gen::{CursorError, ThreadTrace, TraceCursor, WrongPathSource};
-pub use io::{record_trace, TraceReader, TraceWriter};
 pub use oracle::{OracleDivergence, ThreadOracle, WarmFootprint};
 pub use profile::{TraceClass, TraceProfile};
 pub use program::Program;
-pub use stats::{characterize, characterize_trace, TraceStats};
+pub use stats::{characterize_trace, TraceStats};
 pub use stream::{SharedStream, StreamReader};
 pub use suite::{bundles, suite, Bundle, Category, Workload, WorkloadKind};

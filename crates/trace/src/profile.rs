@@ -156,21 +156,6 @@ impl TraceProfile {
         self
     }
 
-    /// Stretch the profile to a long-horizon workload for sampled
-    /// simulation: a much larger static code footprint (so execution
-    /// moves between distinct block neighbourhoods over a long run —
-    /// the phase behaviour sampling exists to capture) and longer trip
-    /// counts. The dynamic stream stays infinite either way; "long"
-    /// here means the program does not re-converge to one steady state
-    /// within a short measurement window.
-    pub fn long_horizon(mut self) -> Self {
-        self.name.push_str("-long");
-        self.static_blocks = (self.static_blocks * 4).min(8000);
-        self.mean_trip = (self.mean_trip * 1.5).min(96.0);
-        self.footprint = (self.footprint * 2).min(256 << 20);
-        self
-    }
-
     /// Apply the ILP/MEM variant.
     pub fn variant(self, class: TraceClass) -> Self {
         match class {

@@ -50,7 +50,7 @@ pub struct TraceStats {
 }
 
 /// Characterize the next `n` uops of a stream.
-pub fn characterize(mut next: impl FnMut() -> MicroOp, n: u64) -> TraceStats {
+fn characterize(mut next: impl FnMut() -> MicroOp, n: u64) -> TraceStats {
     let mut uops = 0u64;
     let mut counts = [0u64; 6]; // int, fp, load, store, branch, mrom
     let mut pcs: HashMap<u64, ()> = HashMap::new();

@@ -66,13 +66,6 @@ impl Prng {
         result
     }
 
-    /// Next 32-bit draw (upper half of a 64-bit draw, which has the best
-    /// bits in xoshiro**).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
     ///
     /// Uses the widening-multiply method (Lemire); the tiny modulo bias is

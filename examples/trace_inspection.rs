@@ -2,14 +2,10 @@
 //! category and show that each has the features its Table-2 row promises
 //! (integer vs FP mix, memory-boundedness, branchiness, code footprint).
 //!
-//! Also demonstrates the binary trace-file format: the first trace is
-//! recorded to disk, re-read, and re-characterized identically.
-//!
 //! Run with: `cargo run --release --example trace_inspection`
 
 use clustered_smt::trace::profile::{category_base, TraceClass};
-use clustered_smt::trace::stats::characterize;
-use clustered_smt::trace::{characterize_trace, record_trace, ThreadTrace, TraceReader};
+use clustered_smt::trace::{characterize_trace, ThreadTrace};
 
 const N: u64 = 50_000;
 
@@ -47,24 +43,4 @@ fn main() {
             );
         }
     }
-
-    // Round-trip the first trace through the on-disk format.
-    let path = std::env::temp_dir().join("csmt-demo-trace.csmt");
-    let p = category_base("DH").variant(TraceClass::Ilp);
-    let mut gen = ThreadTrace::from_profile(&p, 1);
-    record_trace(&path, &mut gen, N).expect("record trace");
-    let mut reader = TraceReader::open(&path).expect("open trace");
-    let replayed = characterize(|| reader.next_uop().unwrap().unwrap(), N);
-    let mut fresh = ThreadTrace::from_profile(&p, 1);
-    let direct = characterize_trace(&mut fresh, N);
-    assert_eq!(replayed, direct, "disk replay must match the generator");
-    println!(
-        "\nrecorded {} uops to {} ({} KB) and replayed them identically",
-        N,
-        path.display(),
-        std::fs::metadata(&path)
-            .map(|m| m.len() / 1024)
-            .unwrap_or(0)
-    );
-    let _ = std::fs::remove_file(&path);
 }
