@@ -120,8 +120,8 @@ pub fn render_serve_stats(s: &ServeStats) -> String {
     .unwrap();
     writeln!(
         out,
-        "exec:  {} workers, {} jobs executed, {} stolen",
-        s.exec_workers, s.exec_executed, s.exec_steals
+        "exec:  {} workers, {} jobs executed",
+        s.exec_workers, s.exec_executed
     )
     .unwrap();
     writeln!(

@@ -101,7 +101,6 @@ pub struct ServeStats {
     /// Executor traffic ([`csmt_store::ExecCounters`]).
     pub exec_workers: u64,
     pub exec_executed: u64,
-    pub exec_steals: u64,
     /// Single-flight traffic: `flights_coalesced` counts duplicate
     /// concurrent simulations that were avoided.
     pub flights_led: u64,

@@ -35,8 +35,8 @@ pub fn render_store_summary(c: &SweepCounters) -> String {
     if c.exec.executed > 0 {
         writeln!(
             out,
-            "exec:  {} workers, {} jobs executed, {} stolen",
-            c.exec.workers, c.exec.executed, c.exec.steals
+            "exec:  {} workers, {} jobs executed",
+            c.exec.workers, c.exec.executed
         )
         .unwrap();
     }

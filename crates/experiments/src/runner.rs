@@ -2,10 +2,11 @@
 //!
 //! A [`Sweeps`] store maps [`RunKey`]s (workload × scheme × configuration)
 //! to [`SimResult`]s. Figures request batches of keys; the store simulates
-//! missing ones across a work-stealing [`csmt_store::Executor`]
-//! (`--jobs N` worker threads, default `min(cores, 8)`; `--jobs 1` is a
-//! true serial path) and memoizes, so e.g. the Icount@32 baseline shared
-//! by Figures 2, 3, 4 and 5 is simulated exactly once per process.
+//! missing ones across an in-order [`csmt_store::Executor`]
+//! (`--jobs N` worker threads, default `min(cores, 8)`, starting runs in
+//! batch order; `--jobs 1` is a true serial path) and memoizes, so e.g.
+//! the Icount@32 baseline shared by Figures 2, 3, 4 and 5 is simulated
+//! exactly once per process.
 //! Results are aggregated **in batch order**, not completion order, so
 //! every figure, CSV and store record is byte-identical whatever the
 //! worker count or interleaving.
@@ -210,7 +211,8 @@ pub struct ExpOptions {
     /// Hard cycle cap per run.
     pub max_cycles: u64,
     /// Sweep worker threads (`--jobs`): 0 = `min(cores, 8)`, 1 = serial
-    /// on the caller's thread, N = that many work-stealing workers.
+    /// on the caller's thread, N = that many workers taking runs in batch
+    /// order.
     pub jobs: usize,
     /// Print progress dots.
     pub verbose: bool,
@@ -260,7 +262,7 @@ pub struct SweepCounters {
     pub store: Option<StoreCounters>,
     /// Simulation outcomes (completed / retried / failed jobs).
     pub orch: OrchCounters,
-    /// Work-stealing executor traffic (workers used, jobs run, steals).
+    /// Executor traffic (workers used, jobs run).
     pub exec: ExecCounters,
     /// Single-flight coalescing traffic; `None` unless this store shares
     /// in-flight work with others ([`Sweeps::with_shared_store`]).
@@ -299,7 +301,8 @@ fn stream_key(spec: &TraceSpec) -> StreamKey {
 /// once it is finished, and the last release drops the cache's
 /// `Arc<SharedStream>`. A reader still running holds its own `Arc`, so
 /// nothing is freed under it; a later batch over the same trace decodes
-/// it again, to the same bytes.
+/// it again, to the same bytes. A trace that recurs later in the same
+/// batch stays held until its last run there.
 #[derive(Default)]
 struct StreamCache(Mutex<StreamTable>);
 
@@ -635,14 +638,17 @@ impl Sweeps {
             return;
         }
         let total = todo.len();
-        // Simulate the misses across the work-stealing executor. The job
-        // closure is self-contained (orchestrator isolation + store put);
-        // results come back in `todo` order, so what follows — map
-        // inserts, figure tables, CSVs — is independent of scheduling.
+        // Simulate the misses across the executor. The job closure is
+        // self-contained (orchestrator isolation + store put); results
+        // come back in `todo` order, so what follows — map inserts,
+        // figure tables, CSVs — is independent of scheduling.
         //
         // Batch mode keys each job's traces once and reserves them all
         // before any job starts, so a stream lives exactly as long as the
-        // runs of this batch that read it.
+        // runs of this batch that read it. Jobs start in `todo` order, so
+        // with the pairing-major batches the figures request, the streams
+        // held at once belong to at most `jobs + 1` pairings: one per
+        // worker, plus the pairing the next job comes from.
         let keys: Vec<Vec<StreamKey>> = todo
             .iter()
             .map(|(_, input)| {
@@ -1265,6 +1271,67 @@ mod tests {
         assert_eq!(per_config.counters().streams, None);
         let c = batched.counters().streams.unwrap();
         assert!(c.peak_held >= 1 && c.peak_held <= distinct_traces(&ws));
+    }
+
+    #[test]
+    fn batched_streams_stay_within_the_pairings_in_flight() {
+        // Runs start in batch order, so with every trace distinct at most
+        // `jobs + 1` pairings hold streams at once, whatever the workers'
+        // relative speed: each worker's pairing plus the cursor's.
+        const JOBS: usize = 2;
+        let opts = ExpOptions {
+            commit_target: 200,
+            warmup: 0,
+            jobs: JOBS,
+            batch: true,
+            ..tiny_opts()
+        };
+        let bound = |threads: usize| (threads * (JOBS + 1)) as u64;
+        let ws: Vec<Workload> = suite().into_iter().skip(24).take(48).collect();
+        let combos = [
+            (
+                SchemeKind::Icount,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+            (
+                SchemeKind::Cssp,
+                RegFileSchemeKind::Shared,
+                CfgKind::IqStudy { iq: 32 },
+            ),
+        ];
+        let smt = Sweeps::new(opts);
+        smt.smt_batch(&ws[..24], &combos);
+        let c = smt.counters().streams.unwrap();
+        assert_eq!(c.decoded, distinct_traces(&ws[..24]));
+        assert!(c.peak_held <= bound(2), "smt batch held {}", c.peak_held);
+
+        // 24 four-thread bundles over the same suite's distinct traces.
+        let bs: Vec<Bundle> = ws
+            .chunks(2)
+            .map(|pair| Bundle {
+                name: format!("{}+{}", pair[0].name, pair[1].name),
+                traces: [pair[0].traces.clone(), pair[1].traces.clone()].concat(),
+                ..suite::bundles(4).remove(0)
+            })
+            .collect();
+        let scaled = CfgKind::ScaledIq {
+            threads: 4,
+            clusters: 2,
+            iq: 32,
+        };
+        let bundled = Sweeps::new(opts);
+        bundled.bundle_batch(
+            &bs,
+            &[
+                (SchemeKind::Icount, RegFileSchemeKind::Shared, scaled),
+                (SchemeKind::Cssp, RegFileSchemeKind::Shared, scaled),
+            ],
+        );
+        let c = bundled.counters().streams.unwrap();
+        assert_eq!(c.decoded, 4 * 24);
+        assert!(c.peak_held <= bound(4), "bundle batch held {}", c.peak_held);
+        assert_eq!(streams_held(&bundled), 0);
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn same_run_twice_is_byte_identical() {
 /// The fig2 AVG-row computation over the fig2 slice workloads must not
 /// depend on the worker count: `--jobs 1` and `--jobs 4` must give
 /// byte-identical results for every run in the grid and for the AVG row
-/// itself. Catches work-stealing/scheduling nondeterminism in the
+/// itself. Catches scheduling nondeterminism in the
 /// parallel sweep runner.
 #[test]
 fn fig2_avg_row_identical_across_worker_counts() {

@@ -2,7 +2,7 @@
 //! with injected panics (via the orchestrator's fault hook) must never
 //! lose a job, run one twice, or blow the retry bound. These pin the
 //! executor/orchestrator contract the `--jobs` flag depends on: each
-//! submitted job is executed exactly once by the work-stealing executor,
+//! submitted job is executed exactly once by the in-order executor,
 //! panics inside a job are retried up to `RetryPolicy::max_attempts`
 //! (3) times, and `SweepCounters` accounts for every attempt.
 //!

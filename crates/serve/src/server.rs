@@ -45,27 +45,74 @@ pub struct ServerConfig {
 }
 
 /// Per-job event history plus a wakeup for streaming subscribers. The
-/// history is append-only and replayed from the start for every
-/// subscriber, so a client attaching late still sees every artifact.
+/// history is replayed from the start for every subscriber, so a client
+/// attaching while the job runs still sees every artifact. Once the job
+/// is terminal and no connection can still replay it, only the final
+/// `Finished` event is kept: late subscribers get the final word, as for
+/// a job recovered from the journal, and a long-lived daemon does not
+/// keep every finished job's tables.
 struct JobLog {
-    events: Mutex<Vec<JobEvent>>,
+    state: Mutex<LogState>,
     wake: Condvar,
+}
+
+#[derive(Default)]
+struct LogState {
+    events: Vec<JobEvent>,
+    /// Connections that may still replay the history: each submitter
+    /// until it has streamed the job (or hung up), and each `Events`
+    /// stream until it returns.
+    readers: usize,
+}
+
+impl LogState {
+    fn compact(&mut self) {
+        let terminal = matches!(self.events.last(), Some(JobEvent::Finished { .. }));
+        if terminal && self.readers == 0 && self.events.len() > 1 {
+            self.events.drain(..self.events.len() - 1);
+            self.events.shrink_to_fit();
+        }
+    }
 }
 
 impl JobLog {
     fn new() -> JobLog {
         JobLog {
-            events: Mutex::new(Vec::new()),
+            state: Mutex::new(LogState::default()),
             wake: Condvar::new(),
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, LogState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn push(&self, event: JobEvent) {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(event);
+        let mut state = self.lock();
+        state.events.push(event);
+        state.compact();
+        drop(state);
         self.wake.notify_all();
+    }
+}
+
+/// One reader's claim on a job's full history; dropping it may compact
+/// the log.
+struct ReadHold(Arc<JobLog>);
+
+impl ReadHold {
+    /// Count a new reader.
+    fn new(log: Arc<JobLog>) -> ReadHold {
+        log.lock().readers += 1;
+        ReadHold(log)
+    }
+}
+
+impl Drop for ReadHold {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.readers = state.readers.saturating_sub(1);
+        state.compact();
     }
 }
 
@@ -181,7 +228,6 @@ impl Server {
             stats.sims_failed += c.orch.failures;
             stats.exec_workers = stats.exec_workers.max(c.exec.workers);
             stats.exec_executed += c.exec.executed;
-            stats.exec_steals += c.exec.steals;
         }
         stats
     }
@@ -189,12 +235,19 @@ impl Server {
     /// Apply one input to the engine and perform the resulting effects.
     /// Returns the effects so request handlers can extract their reply.
     fn dispatch(&self, input: Input) -> Vec<Effect> {
-        let fx = self
-            .inner
-            .engine
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .handle(input);
+        let fx = {
+            let mut engine = self.inner.engine.lock().unwrap_or_else(|e| e.into_inner());
+            let fx = engine.handle(input);
+            // Count the submitter as a reader of the accepted job before
+            // the engine lets the job finish, so its history cannot be
+            // compacted before the submitter streams it.
+            for effect in &fx {
+                if let Effect::Accepted { id, .. } = effect {
+                    self.log_for(*id).lock().readers += 1;
+                }
+            }
+            fx
+        };
         for effect in &fx {
             match effect {
                 Effect::Journal(kind) => self.inner.journal.log(kind.clone()),
@@ -301,6 +354,10 @@ impl Server {
     /// pairs (or anything `Read + Write`).
     pub fn handle_conn<R: Read, W: Write>(&self, reader: R, mut writer: W) -> io::Result<()> {
         let mut reader = BufReader::new(reader);
+        // The reader counts `dispatch` took for this connection's
+        // accepted submissions, released once it has streamed the job
+        // or when it hangs up.
+        let mut submitted: Vec<(u64, ReadHold)> = Vec::new();
         while let Some(request) = read_request(&mut reader)? {
             match request {
                 Request::Submit { spec } => {
@@ -311,6 +368,9 @@ impl Server {
                         },
                         Ok(()) => self.submit(&spec),
                     };
+                    if let Response::Submitted { job, .. } = reply {
+                        submitted.push((job, ReadHold(self.log_for(job))));
+                    }
                     write_line(&mut writer, &reply)?;
                 }
                 Request::Status { job } => {
@@ -331,7 +391,10 @@ impl Server {
                     };
                     write_line(&mut writer, &reply)?;
                 }
-                Request::Events { job } => self.stream_events(job, &mut writer)?,
+                Request::Events { job } => {
+                    self.stream_events(job, &mut writer)?;
+                    submitted.retain(|(id, _)| *id != job);
+                }
                 Request::Cancel { job } => {
                     let fx = self.dispatch(Input::Cancel { id: job });
                     let reply = fx
@@ -410,14 +473,15 @@ impl Server {
                 },
             );
         }
-        let log = self.log_for(job);
+        let hold = ReadHold::new(self.log_for(job));
+        let log = &hold.0;
         let mut cursor = 0usize;
         loop {
             let batch: Vec<JobEvent> = {
-                let mut events = log.events.lock().unwrap_or_else(|e| e.into_inner());
+                let mut state = log.lock();
                 loop {
-                    if events.len() > cursor {
-                        break events[cursor..].to_vec();
+                    if state.events.len() > cursor {
+                        break state.events[cursor..].to_vec();
                     }
                     if self.stopped() {
                         return write_line(
@@ -429,9 +493,9 @@ impl Server {
                     }
                     let (guard, _) = log
                         .wake
-                        .wait_timeout(events, Duration::from_millis(200))
+                        .wait_timeout(state, Duration::from_millis(200))
                         .unwrap_or_else(|e| e.into_inner());
-                    events = guard;
+                    state = guard;
                 }
             };
             for event in batch {
@@ -443,5 +507,85 @@ impl Server {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineConfig;
+    use csmt_experiments::client::{run_on, ClientConfig, Outcome};
+    use csmt_experiments::runner::ExpOptions;
+    use std::os::unix::net::UnixStream;
+
+    /// Events each job's log retains.
+    fn retained(server: &Server) -> HashMap<u64, usize> {
+        let logs = server.inner.logs.lock().unwrap_or_else(|e| e.into_inner());
+        logs.iter()
+            .map(|(&id, log)| (id, log.lock().events.len()))
+            .collect()
+    }
+
+    #[test]
+    fn terminal_jobs_keep_only_their_final_event() {
+        let dir = std::env::temp_dir().join(format!("csmt-serve-logs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::new(ServerConfig {
+            store_dir: dir.clone(),
+            engine: EngineConfig {
+                queue_depth: 4,
+                max_running: 1,
+                retry_after_ms: 250,
+            },
+            jobs: 2,
+            quiet: true,
+        })
+        .expect("server opens");
+        // One long-lived connection, as a closed-loop client keeps.
+        let (client, srv) = UnixStream::pair().expect("socketpair");
+        let s = server.clone();
+        let conn = std::thread::spawn(move || {
+            let reader = srv.try_clone().expect("clone server end");
+            s.handle_conn(reader, srv)
+        });
+        let mut reader = std::io::BufReader::new(client.try_clone().expect("clone client end"));
+        let mut writer = client;
+        // fig2 jobs whose event logs differ in size: one or two figures,
+        // cold and memoized.
+        let jobs: [&[&str]; 4] = [&["fig2"], &["fig2", "fig3"], &["fig2"], &["fig3", "fig2"]];
+        for (n, artifacts) in jobs.into_iter().enumerate() {
+            let opts = ExpOptions {
+                commit_target: 10,
+                warmup: 0,
+                verbose: false,
+                batch: true,
+                ..ExpOptions::default()
+            };
+            let cfg = ClientConfig {
+                spec: JobSpec::new(artifacts.iter().map(|a| a.to_string()).collect(), &opts),
+                csv_dir: None,
+                bars: false,
+                quiet: true,
+            };
+            let mut out = Vec::new();
+            let outcome = run_on(&mut reader, &mut writer, &cfg, &mut out, &mut Vec::new())
+                .expect("client round trip");
+            assert_eq!(outcome, Outcome::Done);
+            // The client saw every table before its job was compacted.
+            let tables = String::from_utf8(out).expect("utf-8 tables");
+            assert!(tables.matches("Figure 2").count() >= 1, "{tables}");
+            let kept = retained(&server);
+            assert_eq!(kept.len(), n + 1);
+            assert!(
+                kept.values().all(|&events| events == 1),
+                "a terminal job kept more than its final event: {kept:?}"
+            );
+        }
+        drop(writer);
+        drop(reader);
+        conn.join()
+            .expect("connection thread")
+            .expect("connection ends cleanly");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,32 +1,32 @@
-//! Work-stealing sweep executor.
+//! In-order sweep executor.
 //!
 //! A sweep is an embarrassingly parallel bag of independent jobs whose
 //! durations vary by an order of magnitude (a 2-thread ILP workload at a
 //! 32-entry IQ finishes long before a memory-bound mix on a bounded
-//! register file). A shared-counter loop keeps every worker busy but
-//! funnels all scheduling through one cache line; static chunking leaves
-//! workers idle behind a slow chunk. The executor here does the classic
-//! third thing: each worker owns a deque seeded round-robin, pops work
-//! from its own front, and when it runs dry **steals from the back** of a
-//! sibling's deque, so load imbalance self-corrects without a central
-//! queue.
+//! register file). Workers share one atomic cursor over the items: each
+//! takes the next untaken item, runs it, and comes back for another, so
+//! no worker idles while work remains and jobs **start in item order**.
+//!
+//! Starting in item order bounds what a batch holds live. Figures list
+//! their runs pairing-major, so at any moment at most `workers + 1`
+//! pairings have runs started but not all finished (one per worker's
+//! job, plus the pairing the cursor is in), and a batched sweep keeps
+//! only those pairings' decoded trace streams alive.
 //!
 //! Two properties matter more than raw throughput:
 //!
 //! * **Determinism of aggregation.** `run` returns results in *item
-//!   order*, whatever the interleaving. Each job writes only its own
-//!   result slot; no output depends on which worker ran it or when. A
-//!   sweep aggregated from these slots is byte-identical between
-//!   `--jobs 1` and `--jobs 8`.
+//!   order*, whatever the interleaving. Each result carries its item
+//!   index; no output depends on which worker ran it or when. A sweep
+//!   aggregated from these results is byte-identical between `--jobs 1`
+//!   and `--jobs 8`.
 //! * **A genuinely serial path.** With one worker (explicit `jobs = 1`,
 //!   or a single-core host) no threads are spawned at all: jobs run on
 //!   the caller's thread in item order, which keeps single-threaded
 //!   debugging, profiling and backtraces trivial.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default worker count: `min(available cores, 8)`. Sweeps are
 /// memory-bandwidth-bound well before 8 workers on desktop parts, and a
@@ -45,15 +45,12 @@ pub struct ExecCounters {
     pub workers: u64,
     /// Jobs executed across all `run` calls.
     pub executed: u64,
-    /// Jobs taken from another worker's deque.
-    pub steals: u64,
 }
 
-/// Work-stealing job executor with a fixed worker count.
+/// In-order job executor with a fixed worker count.
 pub struct Executor {
     jobs: usize,
     executed: AtomicU64,
-    steals: AtomicU64,
     last_workers: AtomicU64,
 }
 
@@ -63,7 +60,6 @@ impl Executor {
         Executor {
             jobs: if jobs == 0 { default_jobs() } else { jobs },
             executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             last_workers: AtomicU64::new(0),
         }
     }
@@ -78,15 +74,16 @@ impl Executor {
         ExecCounters {
             workers: self.last_workers.load(Ordering::Relaxed),
             executed: self.executed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
         }
     }
 
-    /// Execute `f` over every item and return the results **in item
-    /// order**, regardless of which worker ran which job or in what
-    /// interleaving. `f` is expected to handle its own panics (the sweep
-    /// runner wraps jobs in an [`crate::Orchestrator`]); a panic that does
-    /// escape `f` propagates out of `run` after all workers have joined.
+    /// Execute `f` over every item, starting jobs in item order, and
+    /// return the results **in item order**, regardless of which worker
+    /// ran which job or in what interleaving. `f` is expected to handle
+    /// its own panics (the sweep runner wraps jobs in an
+    /// [`crate::Orchestrator`]); a panic that does escape `f` is re-raised
+    /// from `run`, with its original payload, after all workers have
+    /// joined.
     pub fn run<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -96,81 +93,50 @@ impl Executor {
         let n = items.len();
         let workers = self.jobs.min(n).max(1);
         self.last_workers.store(workers as u64, Ordering::Relaxed);
+        self.executed.fetch_add(n as u64, Ordering::Relaxed);
         if workers == 1 {
             // Serial path: caller's thread, item order, no spawns.
-            let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-            self.executed.fetch_add(n as u64, Ordering::Relaxed);
-            return out;
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
 
-        // Seed per-worker deques round-robin so early items (often the
-        // slow, shared baselines a figure requests first) spread across
-        // workers instead of serializing behind one.
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-            .collect();
-
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        // The cursor only hands out indices; results reach this thread
+        // through `join`, so `Relaxed` suffices.
+        let cursor = AtomicUsize::new(0);
+        let mut done: Vec<(usize, R)> = Vec::with_capacity(n);
+        let mut panic = None;
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let deques = &deques;
-                    let f = &f;
-                    let executed = &self.executed;
-                    let steals = &self.steals;
-                    s.spawn(move || {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            // Own deque first (front: FIFO over the seed
-                            // order), then sweep the siblings and steal
-                            // from the back.
-                            let job = {
-                                let own = deques[w]
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .pop_front();
-                                match own {
-                                    Some(i) => Some(i),
-                                    None => (1..workers).find_map(|d| {
-                                        let victim = (w + d) % workers;
-                                        let stolen = deques[victim]
-                                            .lock()
-                                            .unwrap_or_else(|e| e.into_inner())
-                                            .pop_back();
-                                        if stolen.is_some() {
-                                            steals.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        stolen
-                                    }),
-                                }
-                            };
-                            // No job anywhere: the bag is fixed up front,
-                            // so an empty sweep means we are done.
-                            let Some(i) = job else { break };
-                            local.push((i, f(i, &items[i])));
-                            executed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        local
+                .map(|_| {
+                    s.spawn(|| {
+                        let next = || {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            items.get(i).map(|item| (i, f(i, item)))
+                        };
+                        std::iter::from_fn(next).collect::<Vec<_>>()
                     })
                 })
                 .collect();
             for h in handles {
-                for (i, r) in h.join().expect("sweep worker panicked") {
-                    slots[i] = Some(r);
+                match h.join() {
+                    Ok(local) => done.extend(local),
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                    }
                 }
             }
         });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every job executes exactly once"))
-            .collect()
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_come_back_in_item_order() {
@@ -212,23 +178,55 @@ mod tests {
     }
 
     #[test]
-    fn imbalanced_jobs_get_stolen() {
-        // Worker 0's deque is seeded with the slow jobs (indices 0, 4,
-        // 8, ... are made slow); with 4 workers, someone must steal.
-        let n = 64;
-        let items: Vec<usize> = (0..n).collect();
+    fn imbalanced_jobs_start_in_item_order_on_every_worker() {
+        // Every fourth job is slow, and jobs 0..4 wait for each other: a
+        // worker holds one job at a time, so they overlap only if all
+        // four workers run.
+        let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let exec = Executor::new(4);
-        exec.run(&items, |_, &i| {
-            if i % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+        exec.run(&[(); 64], |i, _| {
+            // Jobs below `i` were all claimed first, and each of the other
+            // three workers holds at most one of them unfinished.
+            let done = finished.load(Ordering::SeqCst);
+            assert!(done + 4 > i, "job {i} started with {done} finished");
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while i < 4 && started.load(Ordering::SeqCst) < 4 {
+                assert!(Instant::now() < deadline, "the first jobs never overlapped");
+                std::thread::yield_now();
             }
+            if i % 4 == 0 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            finished.fetch_add(1, Ordering::SeqCst);
         });
-        let c = exec.counters();
-        assert_eq!(c.executed, n as u64);
-        assert_eq!(c.workers, 4);
-        // Stealing is scheduling-dependent; just require the counters to
-        // stay consistent (steals never exceed total jobs).
-        assert!(c.steals <= n as u64);
+        assert_eq!(
+            exec.counters(),
+            ExecCounters {
+                workers: 4,
+                executed: 64
+            }
+        );
+    }
+
+    #[test]
+    fn escaped_panic_is_reraised_with_its_payload_after_every_job() {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            Executor::new(2).run(&[(); 6], |i, _| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if i == 1 {
+                    std::panic::panic_any("job 1 failed");
+                }
+            })
+        });
+        std::panic::set_hook(hook);
+        let payload = caught.expect_err("the job's panic escapes run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 1 failed"));
+        // The other worker drained the rest before `run` re-raised.
+        assert_eq!(ran.load(Ordering::SeqCst), 6);
     }
 
     #[test]

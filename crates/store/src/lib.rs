@@ -23,11 +23,11 @@
 //! * [`Orchestrator`] wraps each simulation in `catch_unwind` with a
 //!   bounded retry budget: one poisoned run is recorded as a failed job
 //!   and the rest of the sweep completes.
-//! * [`Executor`] runs a fixed bag of jobs across `--jobs N`
-//!   work-stealing worker threads (per-worker deques, steal-from-the-back
-//!   when dry) and hands results back **in item order**, so sweep
-//!   aggregation is byte-identical whatever the interleaving; `jobs = 1`
-//!   is a true serial path on the caller's thread.
+//! * [`Executor`] runs a fixed bag of jobs across `--jobs N` worker
+//!   threads that take the next job from one shared atomic cursor, so
+//!   jobs start in item order, and hands results back **in item order**,
+//!   so sweep aggregation is byte-identical whatever the interleaving;
+//!   `jobs = 1` is a true serial path on the caller's thread.
 //!
 //! ## On-disk layout
 //!

@@ -265,6 +265,12 @@ impl ThreadTrace {
         self.emitted
     }
 
+    /// Where the next correct-path uop sits in the program: its block and
+    /// its slot in that block, where slot `body.len()` is the exit branch.
+    pub(crate) fn site(&self) -> (usize, usize) {
+        (self.cur, self.pos)
+    }
+
     fn enter_block(&mut self, id: usize) {
         self.cur = id;
         self.pos = 0;

@@ -16,13 +16,37 @@
 //! position `n` always sees the same uop a private generator would have
 //! produced as its `n`-th.
 //!
+//! ## Packed chunks
+//!
+//! Most of a [`MicroOp`] is fixed by the static program: the PC, op
+//! class, destination, MROM flag and code block all come from the uop's
+//! template (or, for the exit branch, from its block). A chunk therefore
+//! stores each uop as a 16-byte record instead of the 56-byte `MicroOp`:
+//!
+//! ```text
+//! word   u64    memory address (loads/stores) or branch target (branches)
+//! block  u32    block of the uop in the program
+//! slot   u8     position in the block body; body.len() is the exit branch
+//! srcs   [u8;2] source operands: 0 = none, else 0x80 | class << 6 | reg
+//! aux    u8     access size (loads/stores) or taken flag (branches)
+//! ```
+//!
+//! [`StreamReader::next_uop`] rebuilds the identical `MicroOp` from the
+//! record and the program's template. The packing is lossless: every
+//! field the generator draws at run time (sources, address and size,
+//! branch outcome and target) is in the record verbatim.
+//!
 //! A stream keeps every chunk it has published for as long as it lives.
 //! The batched sweep runner therefore holds each stream only while runs
 //! of its batch still need it: the cache drops its `Arc` when the last
 //! such run finishes (readers still running keep theirs), and a later
-//! batch over the same trace decodes it again, to identical bytes. On
-//! the benchmark's `loop-long` workload (96 streams of ~55k uops) that
-//! takes peak RSS from ~297 MB to ~53 MB.
+//! batch over the same trace decodes it again, to identical bytes. The
+//! executor starts runs in batch order, so only the pairings in flight
+//! hold streams. On the benchmark's `loop-long` workload (96 streams of
+//! ~55k uops, two workers) at most 4 streams are live, each ~0.9 MB of
+//! packed chunks where unpacked `MicroOp`s took 3.2 MB, and a pass peaks
+//! at 15–19 MB RSS (30–109 MB with 56-byte chunks and workers free to
+//! drift apart).
 //!
 //! Wrong-path injection is *not* shared: it depends on machine state
 //! (which branches mispredict, how long recovery takes), so every
@@ -31,7 +55,8 @@
 use crate::gen::ThreadTrace;
 use crate::profile::TraceProfile;
 use crate::program::Program;
-use csmt_types::MicroOp;
+use csmt_types::uop::RegOperand;
+use csmt_types::{BranchInfo, LogReg, MemInfo, MicroOp, OpClass, RegClass};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Uops per published chunk. Large enough that steady-state reading is
@@ -39,18 +64,110 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// does not generate far past what it consumes.
 const CHUNK: usize = 4096;
 
+/// One correct-path uop as a chunk stores it; see the module docs.
+#[derive(Clone, Copy)]
+struct Packed {
+    word: u64,
+    block: u32,
+    slot: u8,
+    srcs: [u8; 2],
+    aux: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 16);
+// Registers are below `NUM_LOG_REGS`, so six bits hold them.
+const _: () = assert!(csmt_types::NUM_LOG_REGS <= 0x40);
+
+fn pack_src(src: Option<RegOperand>) -> u8 {
+    match src {
+        None => 0,
+        Some(RegOperand { reg, class }) => 0x80 | (class.idx() as u8) << 6 | reg.0,
+    }
+}
+
+fn unpack_src(b: u8) -> Option<RegOperand> {
+    (b & 0x80 != 0).then_some(RegOperand {
+        reg: LogReg(b & 0x3f),
+        class: if b & 0x40 != 0 {
+            RegClass::FpSimd
+        } else {
+            RegClass::Int
+        },
+    })
+}
+
+impl Packed {
+    /// Pack `u`, emitted at `(block, slot)` of its program.
+    fn new((block, slot): (usize, usize), u: &MicroOp) -> Packed {
+        let (word, aux) = match (u.mem, u.branch) {
+            (Some(m), _) => (m.addr, m.size),
+            (None, Some(b)) => (b.target as u64, b.taken as u8),
+            (None, None) => (0, 0),
+        };
+        Packed {
+            word,
+            block: block as u32,
+            slot: slot as u8,
+            srcs: u.srcs.map(pack_src),
+            aux,
+        }
+    }
+
+    /// The `MicroOp` this record was packed from.
+    #[inline]
+    fn unpack(self, program: &Program) -> MicroOp {
+        let block = &program.blocks[self.block as usize];
+        let srcs = self.srcs.map(unpack_src);
+        match block.body.get(self.slot as usize) {
+            Some(t) => MicroOp {
+                pc: t.pc,
+                class: t.class,
+                dest: t.dest.map(|(reg, class)| RegOperand { reg, class }),
+                srcs,
+                mem: t.mem.map(|_| MemInfo {
+                    addr: self.word,
+                    size: self.aux,
+                }),
+                branch: None,
+                code_block: block.id,
+                is_mrom: t.is_mrom,
+            },
+            None => MicroOp {
+                pc: block.branch_pc,
+                class: if block.indirect_exit {
+                    OpClass::BranchIndirect
+                } else {
+                    OpClass::Branch
+                },
+                dest: None,
+                srcs,
+                mem: None,
+                branch: Some(BranchInfo {
+                    taken: self.aux != 0,
+                    target: self.word as u32,
+                }),
+                code_block: block.id,
+                is_mrom: false,
+            },
+        }
+    }
+}
+
+type Chunk = Arc<[Packed]>;
+
 /// One thread trace decoded once and shared, read-only, by every
 /// simulator in a batch.
 pub struct SharedStream {
     /// The synthesized program, shared with the generator (cache warm-up,
-    /// architected-state setup and checkpoint restores read it).
+    /// architected-state setup and checkpoint restores read it, and
+    /// readers rebuild uops from its templates).
     program: Arc<Program>,
     seed: u64,
     /// The generator producing the not-yet-published tail.
     tail: Mutex<ThreadTrace>,
     /// Published prefix, in order. Chunks are append-only and immutable
     /// once pushed.
-    chunks: RwLock<Vec<Arc<Vec<MicroOp>>>>,
+    chunks: RwLock<Vec<Chunk>>,
 }
 
 /// Ignore lock poisoning: a panicking simulator thread (e.g. a failed
@@ -65,6 +182,11 @@ impl SharedStream {
     /// work a batch amortizes: program synthesis plus stream generation.
     pub fn new(profile: &TraceProfile, seed: u64) -> Self {
         let program = Arc::new(Program::synthesize(profile, seed));
+        let fits = |b: &crate::program::Block| b.body.len() <= u8::MAX as usize;
+        assert!(
+            program.blocks.len() <= u32::MAX as usize && program.blocks.iter().all(fits),
+            "the program outgrows the packed block and slot fields"
+        );
         SharedStream {
             tail: Mutex::new(ThreadTrace::new(program.clone(), seed)),
             program,
@@ -91,7 +213,7 @@ impl SharedStream {
     }
 
     /// Chunk `idx`, generating forward as needed.
-    fn chunk(&self, idx: usize) -> Arc<Vec<MicroOp>> {
+    fn chunk(&self, idx: usize) -> Chunk {
         if let Some(c) = self
             .chunks
             .read()
@@ -111,14 +233,16 @@ impl SharedStream {
                     return c.clone();
                 }
             }
-            let mut v = Vec::with_capacity(CHUNK);
-            for _ in 0..CHUNK {
-                v.push(tail.next_uop());
-            }
+            let chunk: Chunk = (0..CHUNK)
+                .map(|_| {
+                    let site = tail.site();
+                    Packed::new(site, &tail.next_uop())
+                })
+                .collect();
             self.chunks
                 .write()
                 .unwrap_or_else(|e| e.into_inner())
-                .push(Arc::new(v));
+                .push(chunk);
         }
     }
 }
@@ -141,7 +265,9 @@ pub struct StreamReader {
     stream: Arc<SharedStream>,
     /// Absolute position in the stream (uops consumed so far).
     pos: usize,
-    cur: Option<(usize, Arc<Vec<MicroOp>>)>,
+    /// The chunk `pos` was last read from, and its index.
+    cur: Chunk,
+    cur_idx: usize,
 }
 
 impl StreamReader {
@@ -149,7 +275,8 @@ impl StreamReader {
         StreamReader {
             stream,
             pos: 0,
-            cur: None,
+            cur: Arc::new([]),
+            cur_idx: usize::MAX,
         }
     }
 
@@ -168,11 +295,12 @@ impl StreamReader {
     pub fn next_uop(&mut self) -> MicroOp {
         let idx = self.pos / CHUNK;
         let off = self.pos % CHUNK;
-        if self.cur.as_ref().map(|c| c.0) != Some(idx) {
-            self.cur = Some((idx, self.stream.chunk(idx)));
+        if self.cur_idx != idx {
+            self.cur = self.stream.chunk(idx);
+            self.cur_idx = idx;
         }
         self.pos += 1;
-        self.cur.as_ref().unwrap().1[off]
+        self.cur[off].unpack(&self.stream.program)
     }
 }
 
@@ -192,19 +320,21 @@ mod tests {
 
     #[test]
     fn shared_stream_matches_private_generator() {
-        let w = &suite()[0];
-        for spec in &w.traces {
-            let shared = Arc::new(SharedStream::new(&spec.profile, spec.seed));
-            let mut private = ThreadTrace::from_profile(&spec.profile, spec.seed);
-            let mut reader = StreamReader::new(shared.clone());
-            // Cross several chunk boundaries.
-            for i in 0..3 * CHUNK + 17 {
-                assert_eq!(
-                    reader.next_uop(),
-                    private.next_uop(),
-                    "divergence at uop {i} of {}",
-                    spec.profile.name
-                );
+        // Every Table-2 trace, across three chunk boundaries.
+        for w in suite() {
+            for spec in &w.traces {
+                let shared = Arc::new(SharedStream::new(&spec.profile, spec.seed));
+                let mut private = ThreadTrace::from_profile(&spec.profile, spec.seed);
+                let mut reader = StreamReader::new(shared.clone());
+                for i in 0..3 * CHUNK + 17 {
+                    assert_eq!(
+                        reader.next_uop(),
+                        private.next_uop(),
+                        "divergence at uop {i} of {} in {}",
+                        spec.profile.name,
+                        w.name
+                    );
+                }
             }
         }
     }
@@ -221,5 +351,17 @@ mod tests {
         let lead: Vec<MicroOp> = (0..CHUNK + 100).map(|_| a.next_uop()).collect();
         let lag: Vec<MicroOp> = (0..CHUNK + 100).map(|_| b.next_uop()).collect();
         assert_eq!(lead, lag);
+    }
+
+    #[test]
+    fn source_operands_round_trip() {
+        let mut all = vec![None];
+        for reg in 0..csmt_types::NUM_LOG_REGS as u8 {
+            all.push(Some(RegOperand::int(reg)));
+            all.push(Some(RegOperand::fp(reg)));
+        }
+        for src in all {
+            assert_eq!(unpack_src(pack_src(src)), src);
+        }
     }
 }

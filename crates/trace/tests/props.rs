@@ -2,8 +2,9 @@
 //! produces valid, deterministic micro-op streams.
 
 use csmt_trace::profile::{TraceClass, TraceProfile};
-use csmt_trace::{Program, ThreadTrace, WrongPathSource};
+use csmt_trace::{Program, SharedStream, StreamReader, ThreadTrace, WrongPathSource};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_profile() -> impl Strategy<Value = TraceProfile> {
     (
@@ -57,6 +58,16 @@ proptest! {
         let mut b = ThreadTrace::from_profile(&p, seed);
         for _ in 0..200 {
             prop_assert_eq!(a.next_uop(), b.next_uop());
+        }
+    }
+
+    #[test]
+    fn shared_stream_replays_the_private_generator(p in arb_profile(), seed: u64) {
+        // Past two chunk boundaries of the packed shared stream.
+        let mut reader = StreamReader::new(Arc::new(SharedStream::new(&p, seed)));
+        let mut private = ThreadTrace::from_profile(&p, seed);
+        for i in 0..9_000 {
+            prop_assert_eq!(reader.next_uop(), private.next_uop(), "uop {}", i);
         }
     }
 

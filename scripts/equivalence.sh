@@ -4,7 +4,10 @@
 # serial, store-less reference run (`--no-store --jobs 1`):
 #
 #   jobs     --no-store --jobs 2
-#   batch    --no-store --jobs 2 --batch
+#   batch    --no-store --jobs 2 --batch; its stderr summary must also
+#            show at most (2 + 1) x threads-per-run streams held at once
+#            (runs start in batch order, so only the pairings in flight
+#            hold streams)
 #   cold     --store DIR --jobs 2 (fresh store)
 #   warm     the same command again, served from the store
 #   client1  } two concurrent `client` runs against a csmt-serve daemon
@@ -68,6 +71,18 @@ stop_daemon() {
     daemon=""
 }
 
+# Fail unless the batch leg's `streams:` summary line reports at most
+# $1 streams held at once.
+check_streams() {
+    local bound=$1 held
+    held=$(sed -n 's/^streams: [0-9]* decoded, at most \([0-9]*\) held at once$/\1/p' "$work/batch.err")
+    if [ -z "$held" ] || [ "$held" -gt "$bound" ]; then
+        cat "$work/batch.err" >&2
+        echo "equivalence: FAIL '$set' leg batch held ${held:-?} streams at once (bound $bound)" >&2
+        exit 1
+    fi
+}
+
 # Run leg $1 (the command after it) into $work/$1.out and diff that
 # against the reference run of the current set.
 leg() {
@@ -90,6 +105,9 @@ for set in "${SETS[@]}"; do
     leg ref "$BIN" "${args[@]}" --no-store --jobs 1
     leg jobs "$BIN" "${args[@]}" --no-store --jobs 2
     leg batch "$BIN" "${args[@]}" --no-store --jobs 2 --batch
+    threads=2
+    [[ $set == figN* ]] && threads=4
+    check_streams $((3 * threads))
     leg cold "$BIN" "${args[@]}" --store "$work/cli-store" --jobs 2
     leg warm "$BIN" "${args[@]}" --store "$work/cli-store" --jobs 2
 
