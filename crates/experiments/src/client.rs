@@ -114,20 +114,14 @@ pub fn render_serve_stats(s: &ServeStats) -> String {
     .unwrap();
     writeln!(
         out,
-        "jobs:  {} simulated, {} attempts retried, {} failed permanently",
-        s.sims_completed, s.sims_retried, s.sims_failed
+        "jobs:  {} simulated, {} failed",
+        s.sims_completed, s.sims_failed
     )
     .unwrap();
     writeln!(
         out,
         "exec:  {} workers, {} jobs executed",
         s.exec_workers, s.exec_executed
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "flight: {} led, {} coalesced (duplicate in-flight simulations avoided)",
-        s.flights_led, s.flights_coalesced
     )
     .unwrap();
     out
@@ -386,13 +380,15 @@ mod tests {
             store_hits: 3,
             store_misses: 1,
             sims_completed: 4,
+            sims_failed: 1,
             exec_workers: 2,
-            flights_coalesced: 5,
+            exec_executed: 5,
             ..ServeStats::default()
         });
         assert!(s.contains("serve: 2 submitted, 1 done"), "{s}");
         assert!(s.contains("store: 3 hits / 1 misses (75.0% warm)"), "{s}");
-        assert!(s.contains("jobs:  4 simulated"), "{s}");
-        assert!(s.contains("flight: 0 led, 5 coalesced"), "{s}");
+        assert!(s.contains("jobs:  4 simulated, 1 failed"), "{s}");
+        assert!(s.contains("exec:  2 workers, 5 jobs executed"), "{s}");
+        assert_eq!(s.lines().count(), 4, "one line per counter group: {s}");
     }
 }

@@ -29,6 +29,6 @@ pub mod runner;
 pub mod sample;
 pub mod spec;
 
-pub use runner::{ExpOptions, RunKey, RunOutput, SweepCounters, Sweeps};
+pub use runner::{ExpOptions, RunKey, SweepCounters, Sweeps};
 pub use sample::SampleStats;
 pub use spec::{JobSpec, SweepGroupKey};

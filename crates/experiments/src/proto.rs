@@ -78,8 +78,7 @@ pub enum JobEvent {
 
 /// Daemon-wide counters: job lifecycle totals plus the underlying
 /// sweep-layer counters (store traffic, simulation outcomes, executor
-/// activity, single-flight coalescing), flattened for a stable wire
-/// shape.
+/// activity), flattened for a stable wire shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeStats {
     pub jobs_submitted: u64,
@@ -96,15 +95,10 @@ pub struct ServeStats {
     /// Simulation outcomes ([`csmt_store::OrchCounters`]): `sims_completed`
     /// counts actual simulations — the exactly-once witness.
     pub sims_completed: u64,
-    pub sims_retried: u64,
     pub sims_failed: u64,
     /// Executor traffic ([`csmt_store::ExecCounters`]).
     pub exec_workers: u64,
     pub exec_executed: u64,
-    /// Single-flight traffic: `flights_coalesced` counts duplicate
-    /// concurrent simulations that were avoided.
-    pub flights_led: u64,
-    pub flights_coalesced: u64,
 }
 
 /// Write one message as a JSON line and flush it (the peer blocks on the
@@ -263,7 +257,7 @@ mod tests {
                 stats: ServeStats {
                     jobs_submitted: 2,
                     sims_completed: 7,
-                    flights_coalesced: 1,
+                    sims_failed: 1,
                     ..ServeStats::default()
                 },
             },

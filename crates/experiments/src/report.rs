@@ -1,5 +1,5 @@
 //! Text-table, CSV and JSON rendering for figure reproductions, plus the
-//! end-of-run cache/retry summary.
+//! end-of-run cache/job summary.
 
 use crate::runner::SweepCounters;
 use serde::{Deserialize, Serialize};
@@ -28,8 +28,8 @@ pub fn render_store_summary(c: &SweepCounters) -> String {
     }
     writeln!(
         out,
-        "jobs:  {} simulated, {} attempts retried, {} failed permanently",
-        c.orch.completed, c.orch.retries, c.orch.failures
+        "jobs:  {} simulated, {} failed",
+        c.orch.completed, c.orch.failures
     )
     .unwrap();
     if c.exec.executed > 0 {
@@ -37,16 +37,6 @@ pub fn render_store_summary(c: &SweepCounters) -> String {
             out,
             "exec:  {} workers, {} jobs executed",
             c.exec.workers, c.exec.executed
-        )
-        .unwrap();
-    }
-    // Only the sweep service wires a flight table, so the batch CLI's
-    // summary is unchanged byte-for-byte.
-    if let Some(f) = &c.flight {
-        writeln!(
-            out,
-            "flight: {} led, {} coalesced (duplicate in-flight simulations avoided)",
-            f.led, f.coalesced
         )
         .unwrap();
     }

@@ -11,33 +11,35 @@
 //! every figure, CSV and store record is byte-identical whatever the
 //! worker count or interleaving.
 //!
+//! The memo is also the in-process single-flight: a key being computed
+//! sits in it as an in-flight entry, so a concurrent caller wanting the
+//! same key (another daemon job, another figure thread) waits for that
+//! result instead of simulating it again.
+//!
 //! With [`Sweeps::with_store`], memoization extends **across processes**:
 //! each run's identity (key + full [`MachineConfig`] + run options) is
 //! hashed into a [`csmt_store::ResultStore`] lookup, so a second
 //! `csmt-experiments all` serves every run from disk and simulates
 //! nothing. Simulations are executed through a
-//! [`csmt_store::Orchestrator`]: a panicking run is journaled, retried a
-//! bounded number of times and at worst recorded as a failed job — it
-//! never tears down the sweep.
+//! [`csmt_store::Orchestrator`]: a panicking run is journaled and
+//! recorded as a failed job — it never tears down the sweep.
 
 use crate::sample::{self, SampleStats};
 use csmt_core::metrics::{SimResult, SimStats};
 use csmt_core::Simulator;
 use csmt_store::{
-    ArtifactStore, EventKind, ExecCounters, Executor, FlightCounters, JobDesc, Journal, Lookup,
-    OrchCounters, Orchestrator, ResultStore, RetryPolicy, SingleFlight, StoreCounters, StoreKey,
-    SCHEMA_VERSION,
+    ArtifactStore, EventKind, ExecCounters, Executor, JobDesc, Journal, Lookup, OrchCounters,
+    Orchestrator, ResultStore, StoreCounters, StoreKey, SCHEMA_VERSION,
 };
 use csmt_trace::stream::SharedStream;
 use csmt_trace::suite::{Bundle, TraceSpec, Workload};
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind};
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// What one run produces: the memoized (possibly pooled) result, plus
 /// the per-interval sampling sidecar when the run was sampled.
-pub type RunOutput = (SimResult, Option<SampleStats>);
+type RunOutput = (SimResult, Option<SampleStats>);
 
 /// Test-only fault injection for sweep jobs; see
 /// [`csmt_store::fault_injection`]. Re-exported here because the hook
@@ -219,8 +221,8 @@ pub struct ExpOptions {
     /// Arm the architectural invariant suite + differential oracle on
     /// every run (`--validate`). Validators are read-only observers, so
     /// results are unchanged — but a violation panics the run, so
-    /// validated sweeps skip the persistent store (a retried/failed
-    /// placeholder must never be memoized as a real result).
+    /// validated sweeps skip the persistent store (a failed placeholder
+    /// must never be persisted as a real result).
     pub validate: bool,
     /// Batched sweep mode (`--batch`): decode each distinct trace once
     /// into a [`SharedStream`] and run every config point sharing it
@@ -260,13 +262,10 @@ impl Default for ExpOptions {
 pub struct SweepCounters {
     /// Persistent-store traffic; `None` when running without a store.
     pub store: Option<StoreCounters>,
-    /// Simulation outcomes (completed / retried / failed jobs).
+    /// Simulation outcomes (completed / failed jobs).
     pub orch: OrchCounters,
     /// Executor traffic (workers used, jobs run).
     pub exec: ExecCounters,
-    /// Single-flight coalescing traffic; `None` unless this store shares
-    /// in-flight work with others ([`Sweeps::with_shared_store`]).
-    pub flight: Option<FlightCounters>,
     /// Shared-stream traffic; `None` unless the sweep is batched.
     pub streams: Option<StreamCounters>,
 }
@@ -275,8 +274,7 @@ pub struct SweepCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamCounters {
     /// Streams decoded. A stream is decoded once per batch that reads it,
-    /// so with one worker (and no shared flight table) this is
-    /// deterministic.
+    /// so with one worker and one caller this is deterministic.
     pub decoded: u64,
     /// Most streams held at once.
     pub peak_held: u64,
@@ -374,8 +372,8 @@ impl StreamCache {
     }
 }
 
-/// Releases one job's reserved streams when dropped: after the job's
-/// last attempt, whether it completed, failed every attempt or unwound.
+/// Releases one job's reserved streams when dropped: after the job,
+/// whether it completed, failed or unwound.
 struct StreamLease<'a> {
     cache: &'a StreamCache,
     keys: &'a [StreamKey],
@@ -389,14 +387,67 @@ impl Drop for StreamLease<'_> {
     }
 }
 
+/// One memo entry.
+enum Slot {
+    /// Claimed by one [`Sweeps::ensure`] call, which publishes it as
+    /// `Ready` or, if it unwinds, removes it.
+    Pending,
+    /// The shared result, plus the per-interval sampling sidecar when the
+    /// run was sampled.
+    Ready(Arc<SimResult>, Option<Arc<SampleStats>>),
+}
+
+/// The run memo and its in-flight entries.
+#[derive(Default)]
+struct Memo {
+    slots: Mutex<HashMap<RunKey, Slot>>,
+    /// Signalled whenever a claim is published or released.
+    settled: Condvar,
+}
+
+impl Memo {
+    fn lock(&self) -> MutexGuard<'_, HashMap<RunKey, Slot>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn publish(&self, key: RunKey, (result, stats): RunOutput) {
+        self.lock()
+            .insert(key, Slot::Ready(Arc::new(result), stats.map(Arc::new)));
+        self.settled.notify_all();
+    }
+}
+
+/// The keys one `ensure` call claimed. Every claim is published before
+/// `ensure` returns; if it unwinds instead, the drop removes the claims
+/// still `Pending` and wakes every waiter, which then finds the key
+/// absent and claims it itself.
+struct Claims<'a> {
+    memo: &'a Memo,
+    keys: Vec<RunKey>,
+}
+
+impl Drop for Claims<'_> {
+    fn drop(&mut self) {
+        if self.keys.is_empty() {
+            return;
+        }
+        let mut slots = self.memo.lock();
+        for key in &self.keys {
+            if let Some(Slot::Pending) = slots.get(key) {
+                slots.remove(key);
+            }
+        }
+        drop(slots);
+        self.memo.settled.notify_all();
+    }
+}
+
 /// Memoizing run store. The memo shares each result (`Arc`) instead of
 /// copying it: a figure over an already-memoized grid reads every run in
 /// place and builds no [`RunInput`].
 pub struct Sweeps {
     pub opts: ExpOptions,
-    results: Mutex<HashMap<RunKey, Arc<SimResult>>>,
-    /// Per-interval sampling sidecars, populated only for sampled runs.
-    ci: Mutex<HashMap<RunKey, Arc<SampleStats>>>,
+    memo: Memo,
     store: Option<Arc<ResultStore>>,
     /// Checkpoint + sidecar cache, colocated with the result store
     /// (`<store>/artifacts/`); `None` without a store.
@@ -407,28 +458,13 @@ pub struct Sweeps {
     /// Shared decoded streams of the batches in flight (batch mode
     /// only; empty otherwise).
     streams: StreamCache,
-    /// Cross-store in-flight coalescing (the sweep service hands every
-    /// `Sweeps` the same flight table so concurrent jobs hammering
-    /// overlapping keys simulate each key once); `None` in batch-CLI use.
-    flight: Option<Arc<SingleFlight<RunOutput>>>,
 }
 
 impl Sweeps {
     /// In-process memoization only (no persistence, no journal), with
     /// panic-isolated execution.
     pub fn new(opts: ExpOptions) -> Self {
-        Sweeps {
-            opts,
-            results: Mutex::new(HashMap::new()),
-            ci: Mutex::new(HashMap::new()),
-            store: None,
-            artifacts: None,
-            journal: None,
-            orch: Orchestrator::new(RetryPolicy::default(), None),
-            exec: Executor::new(opts.jobs),
-            streams: StreamCache::default(),
-            flight: None,
-        }
+        Sweeps::build(opts, None, None, None)
     }
 
     /// Memoization backed by a persistent [`ResultStore`] under `dir`,
@@ -437,56 +473,49 @@ impl Sweeps {
         let store = Arc::new(ResultStore::open(dir.as_ref())?);
         let artifacts = Arc::new(ArtifactStore::open(dir.as_ref())?);
         let journal = Arc::new(Journal::open(dir.as_ref())?);
-        let orch = Orchestrator::new(RetryPolicy::default(), Some(journal.clone()));
-        Ok(Sweeps {
+        Ok(Sweeps::build(
             opts,
-            results: Mutex::new(HashMap::new()),
-            ci: Mutex::new(HashMap::new()),
-            store: Some(store),
-            artifacts: Some(artifacts),
-            journal: Some(journal),
-            orch,
-            exec: Executor::new(opts.jobs),
-            streams: StreamCache::default(),
-            flight: None,
-        })
+            Some(store),
+            Some(artifacts),
+            Some(journal),
+        ))
     }
 
-    /// Memoization sharing an already-open store, journal and
-    /// single-flight table with other `Sweeps` instances — the sweep
-    /// service's constructor. Concurrent stores racing on the same
-    /// content hash coalesce: one simulates and persists, the rest
-    /// receive the leader's result.
+    /// Memoization over an already-open store and journal — the sweep
+    /// service's constructor. The service keeps one `Sweeps` per option
+    /// group, and a run's store identity is its key plus the group's
+    /// options, so the memo alone keeps every run to one simulation
+    /// across concurrent jobs.
     pub fn with_shared_store(
         opts: ExpOptions,
         store: Arc<ResultStore>,
         journal: Arc<Journal>,
-        flight: Arc<SingleFlight<RunOutput>>,
     ) -> Self {
-        let orch = Orchestrator::new(RetryPolicy::default(), Some(journal.clone()));
         let artifacts = ArtifactStore::open(store.root()).ok().map(Arc::new);
+        Sweeps::build(opts, Some(store), artifacts, Some(journal))
+    }
+
+    fn build(
+        opts: ExpOptions,
+        store: Option<Arc<ResultStore>>,
+        artifacts: Option<Arc<ArtifactStore>>,
+        journal: Option<Arc<Journal>>,
+    ) -> Self {
         Sweeps {
             opts,
-            results: Mutex::new(HashMap::new()),
-            ci: Mutex::new(HashMap::new()),
-            store: Some(store),
+            memo: Memo::default(),
+            store,
             artifacts,
-            journal: Some(journal),
-            orch,
+            orch: Orchestrator::new(journal.clone()),
+            journal,
             exec: Executor::new(opts.jobs),
             streams: StreamCache::default(),
-            flight: Some(flight),
         }
     }
 
     /// Resolved sweep worker count.
     pub fn jobs(&self) -> usize {
         self.exec.jobs()
-    }
-
-    /// The persistent store, if any.
-    pub fn store(&self) -> Option<&Arc<ResultStore>> {
-        self.store.as_ref()
     }
 
     /// The event journal, if any.
@@ -500,7 +529,6 @@ impl Sweeps {
             store: self.store.as_ref().map(|s| s.counters()),
             orch: self.orch.counters(),
             exec: self.exec.counters(),
-            flight: self.flight.as_ref().map(|f| f.counters()),
             streams: self.opts.batch.then(|| self.streams.counters()),
         }
     }
@@ -554,83 +582,103 @@ impl Sweeps {
     }
 
     /// The shared results of a batch of (key, input) pairs, in batch
-    /// order. The memo answers under one lock; only on a miss is a
-    /// [`RunInput`] built and the run served from the persistent store or
-    /// simulated (see [`Sweeps::fill`]), so a warm figure copies nothing.
+    /// order. The memo answers under one lock; only for a key nobody
+    /// holds is a [`RunInput`] built and the run served from the
+    /// persistent store or simulated (see [`Sweeps::fill`]), so a warm
+    /// figure copies nothing.
+    ///
+    /// Each absent key is claimed as `Pending` under that lock. This call
+    /// computes its own claims first and only then waits on keys another
+    /// caller holds, so two callers can never wait on each other.
     fn ensure<I>(&self, batch: &[(RunKey, &I)]) -> Vec<Arc<SimResult>>
     where
         I: Clone + Into<RunInput>,
     {
-        let missing: Vec<(RunKey, RunInput)> = {
-            let map = self.results.lock().unwrap_or_else(|e| e.into_inner());
-            let mut shared = Vec::with_capacity(batch.len());
-            let mut missing = Vec::new();
-            for &(ref key, input) in batch {
-                match map.get(key) {
-                    Some(result) => shared.push(result.clone()),
-                    None => missing.push((key.clone(), input.clone().into())),
+        let mut claims = Claims {
+            memo: &self.memo,
+            keys: Vec::new(),
+        };
+        let mut shared = Vec::with_capacity(batch.len());
+        let mut claimed = Vec::new();
+        let mut slots = self.memo.lock();
+        for (i, (key, _)) in batch.iter().enumerate() {
+            shared.push(match slots.get(key) {
+                Some(Slot::Ready(result, _)) => Some(result.clone()),
+                Some(Slot::Pending) => None,
+                None => {
+                    slots.insert(key.clone(), Slot::Pending);
+                    claimed.push(i);
+                    None
+                }
+            });
+        }
+        if shared.iter().all(Option::is_some) {
+            return shared.into_iter().flatten().collect();
+        }
+        drop(slots);
+        claims.keys = claimed.iter().map(|&i| batch[i].0.clone()).collect();
+        self.fill(
+            claimed
+                .into_iter()
+                .map(|i| (batch[i].0.clone(), batch[i].1.clone().into()))
+                .collect(),
+        );
+        let mut slots = self.memo.lock();
+        for (out, &(ref key, input)) in shared.iter_mut().zip(batch) {
+            while out.is_none() {
+                match slots.get(key) {
+                    Some(Slot::Ready(result, _)) => *out = Some(result.clone()),
+                    Some(Slot::Pending) => {
+                        slots = self
+                            .memo
+                            .settled
+                            .wait(slots)
+                            .unwrap_or_else(|e| e.into_inner());
+                    }
+                    // Its claimer unwound: claim and compute it here.
+                    None => {
+                        slots.insert(key.clone(), Slot::Pending);
+                        drop(slots);
+                        claims.keys.push(key.clone());
+                        self.fill(vec![(key.clone(), input.clone().into())]);
+                        slots = self.memo.lock();
+                    }
                 }
             }
-            if missing.is_empty() {
-                return shared;
-            }
-            missing
-        };
-        self.fill(missing);
-        let map = self.results.lock().unwrap_or_else(|e| e.into_inner());
-        batch
-            .iter()
-            .map(|(key, _)| map.get(key).expect("filled run is memoized").clone())
-            .collect()
+        }
+        // `slots` drops before `claims`, whose drop takes the lock.
+        shared.into_iter().flatten().collect()
     }
 
-    /// Memoize every missing run: served from the persistent store when
-    /// it has the run, simulated otherwise.
-    fn fill(&self, missing: Vec<(RunKey, RunInput)>) {
+    /// Compute and publish every claimed run: served from the persistent
+    /// store when it has the run, simulated otherwise.
+    fn fill(&self, claimed: Vec<(RunKey, RunInput)>) {
         // Warm phase: serve what the persistent store already has. A
         // sampled run is only a hit when its sidecar is also present and
         // parses — a pooled result without its per-interval measurements
         // would silently drop every CI table, so it re-simulates instead.
         let todo: Vec<(RunKey, RunInput)> = match &self.store {
-            None => missing,
-            Some(store) => missing
+            None => claimed,
+            Some(store) => claimed
                 .into_iter()
                 .filter(|(key, _)| {
                     let skey = self.store_key(key);
                     let hit = match store.get(&skey) {
-                        Lookup::Hit(result) => match self.opts.sample {
-                            None => {
-                                self.results
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .insert(key.clone(), Arc::new(result));
-                                true
-                            }
-                            Some(_) => match self.stored_sidecar(&skey) {
-                                Some(stats) => {
-                                    self.results
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .insert(key.clone(), Arc::new(result));
-                                    self.ci
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .insert(key.clone(), Arc::new(stats));
-                                    true
-                                }
-                                None => false,
-                            },
-                        },
-                        Lookup::Miss => false,
+                        Lookup::Hit(result) if self.opts.sample.is_none() => Some((result, None)),
+                        Lookup::Hit(result) => self
+                            .stored_sidecar(&skey)
+                            .map(|stats| (result, Some(stats))),
+                        Lookup::Miss => None,
                     };
                     if let Some(j) = &self.journal {
-                        if hit {
-                            j.log(EventKind::CacheHit { job: job_desc(key) });
-                        } else {
-                            j.log(EventKind::CacheMiss { job: job_desc(key) });
-                        }
+                        j.log(match hit {
+                            Some(_) => EventKind::CacheHit { job: job_desc(key) },
+                            None => EventKind::CacheMiss { job: job_desc(key) },
+                        });
                     }
-                    !hit
+                    let Some(output) = hit else { return true };
+                    self.memo.publish(key.clone(), output);
+                    false
                 })
                 .collect(),
         };
@@ -638,10 +686,9 @@ impl Sweeps {
             return;
         }
         let total = todo.len();
-        // Simulate the misses across the executor. The job closure is
-        // self-contained (orchestrator isolation + store put); results
-        // come back in `todo` order, so what follows — map inserts,
-        // figure tables, CSVs — is independent of scheduling.
+        // Simulate the misses across the executor. Each job is
+        // self-contained (orchestrator isolation, store put, publish), and
+        // what a run produces never depends on scheduling.
         //
         // Batch mode keys each job's traces once and reserves them all
         // before any job starts, so a stream lives exactly as long as the
@@ -660,70 +707,48 @@ impl Sweeps {
             })
             .collect();
         self.streams.reserve(keys.iter().flatten());
-        let results = self.exec.run(&todo, |i, (key, input)| {
-            // Released after every retry and outside the single-flight
-            // `compute`, so coalesced followers release too.
+        self.exec.run(&todo, |i, (key, input)| {
             let _lease = StreamLease {
                 cache: &self.streams,
                 keys: &keys[i],
             };
             let streams = self.opts.batch.then(|| (&self.streams, keys[i].as_slice()));
             let desc = job_desc(key);
-            // The full simulate-and-persist step for one key. With a
-            // shared flight table, a concurrent store simulating the
-            // same content hash runs this once: the leader simulates
-            // and persists *before* publishing, so a coalesced result
-            // is already durable when a follower receives it.
-            let compute = || -> RunOutput {
-                let outcome = self.orch.run_job(&desc, || {
-                    run_one(key, input, &self.opts, streams, self.artifacts.as_deref())
-                });
-                match outcome {
-                    Some(output) => {
-                        let skey = self.store_key(key);
-                        if let Some(store) = &self.store {
-                            if let Err(e) = store.put(&skey, &output.0) {
-                                eprintln!("store write failed for {desc}: {e}");
-                            }
+            let outcome = self.orch.run_job(&desc, || {
+                run_one(key, input, &self.opts, streams, self.artifacts.as_deref())
+            });
+            let output = match outcome {
+                // Persisted before it is published, so a result another
+                // caller receives is already durable.
+                Some(output) => {
+                    let skey = self.store_key(key);
+                    if let Some(store) = &self.store {
+                        if let Err(e) = store.put(&skey, &output.0) {
+                            eprintln!("store write failed for {desc}: {e}");
                         }
-                        if let (Some(arts), Some(stats)) = (&self.artifacts, &output.1) {
-                            let payload = serde_json::to_string(stats).expect("sidecar serializes");
-                            if let Err(e) = arts.put_record(
-                                sample::SAMPLE_STATS_KIND,
-                                &skey.canonical_json(),
-                                &payload,
-                            ) {
-                                eprintln!("sidecar write failed for {desc}: {e}");
-                            }
-                        }
-                        output
                     }
-                    // Every attempt panicked: record a zeroed result so
-                    // dependent figures render (as zeros) instead of
-                    // panicking; the journal and counters carry the
-                    // failure.
-                    None => (failed_placeholder(key, input, &self.opts), None),
+                    if let (Some(arts), Some(stats)) = (&self.artifacts, &output.1) {
+                        let payload = serde_json::to_string(stats).expect("sidecar serializes");
+                        if let Err(e) = arts.put_record(
+                            sample::SAMPLE_STATS_KIND,
+                            &skey.canonical_json(),
+                            &payload,
+                        ) {
+                            eprintln!("sidecar write failed for {desc}: {e}");
+                        }
+                    }
+                    output
                 }
+                // The run panicked: record a zeroed result so dependent
+                // figures render (as zeros) instead of panicking; the
+                // journal and counters carry the failure.
+                None => (failed_placeholder(key, input, &self.opts), None),
             };
-            let output = match &self.flight {
-                Some(flight) => flight.run(self.store_key(key).content_hash(), compute).0,
-                None => compute(),
-            };
+            self.memo.publish(key.clone(), output);
             if self.opts.verbose {
                 eprint!(".");
             }
-            output
         });
-        let mut map = self.results.lock().unwrap_or_else(|e| e.into_inner());
-        let mut ci = self.ci.lock().unwrap_or_else(|e| e.into_inner());
-        for ((key, _), (result, stats)) in todo.into_iter().zip(results) {
-            if let Some(stats) = stats {
-                ci.insert(key.clone(), Arc::new(stats));
-            }
-            map.insert(key, Arc::new(result));
-        }
-        drop(ci);
-        drop(map);
         if self.opts.verbose {
             eprintln!(" [{total} runs]");
         }
@@ -792,23 +817,19 @@ impl Sweeps {
     /// Figures read the shared results the batch calls return instead,
     /// which copies nothing.
     pub fn get(&self, key: &RunKey) -> SimResult {
-        SimResult::clone(
-            self.results
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(key)
-                .unwrap_or_else(|| panic!("run not simulated: {key:?}")),
-        )
+        match self.memo.lock().get(key) {
+            Some(Slot::Ready(result, _)) => SimResult::clone(result),
+            _ => panic!("run not simulated: {key:?}"),
+        }
     }
 
     /// Per-interval sampling sidecar of a run, if the run was sampled.
     /// `None` for full runs, failed jobs, and keys never ensured.
     pub fn get_ci(&self, key: &RunKey) -> Option<Arc<SampleStats>> {
-        self.ci
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned()
+        match self.memo.lock().get(key) {
+            Some(Slot::Ready(_, stats)) => stats.clone(),
+            _ => None,
+        }
     }
 
     /// Parse and verify a persisted sampling sidecar for one store key,
@@ -824,14 +845,15 @@ impl Sweeps {
 
     /// Number of memoized runs.
     pub fn len(&self) -> usize {
-        self.results.lock().unwrap_or_else(|e| e.into_inner()).len()
+        let slots = self.memo.lock();
+        slots
+            .values()
+            .filter(|s| matches!(s, Slot::Ready(..)))
+            .count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.results
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
+        self.len() == 0
     }
 }
 
@@ -845,7 +867,7 @@ fn job_desc(key: &RunKey) -> JobDesc {
     }
 }
 
-/// Stand-in result for a job whose every attempt panicked: correct shape
+/// Stand-in result for a job that panicked: correct shape
 /// (thread count, target, per-shape stats lanes), all-zero stats.
 fn failed_placeholder(key: &RunKey, input: &RunInput, opts: &ExpOptions) -> SimResult {
     let cfg = key.cfg.build();
@@ -897,7 +919,7 @@ fn run_one(
     };
     if opts.validate {
         // Invariant suite + differential oracle, fail-fast: a violation
-        // panics the run, which the orchestrator journals and retries.
+        // panics the run, which the orchestrator journals as failed.
         sim.enable_oracle();
     }
     (
@@ -910,6 +932,23 @@ fn run_one(
 mod tests {
     use super::*;
     use csmt_trace::suite;
+
+    type Combo = (SchemeKind, RegFileSchemeKind, CfgKind);
+    const ICOUNT_IQ32: Combo = (
+        SchemeKind::Icount,
+        RegFileSchemeKind::Shared,
+        CfgKind::IqStudy { iq: 32 },
+    );
+    const CSSP_IQ32: Combo = (
+        SchemeKind::Cssp,
+        RegFileSchemeKind::Shared,
+        CfgKind::IqStudy { iq: 32 },
+    );
+    const CSSP_CDPRF64: Combo = (
+        SchemeKind::Cssp,
+        RegFileSchemeKind::Cdprf,
+        CfgKind::RfStudy { regs: 64 },
+    );
 
     fn tiny_opts() -> ExpOptions {
         ExpOptions {
@@ -928,11 +967,7 @@ mod tests {
     fn memoization_avoids_reruns() {
         let sweeps = Sweeps::new(tiny_opts());
         let ws: Vec<_> = suite().into_iter().take(2).collect();
-        let combos = [(
-            SchemeKind::Icount,
-            RegFileSchemeKind::Shared,
-            CfgKind::IqStudy { iq: 32 },
-        )];
+        let combos = [ICOUNT_IQ32];
         sweeps.smt_batch(&ws, &combos);
         assert_eq!(sweeps.len(), 2);
         sweeps.smt_batch(&ws, &combos); // no-op
@@ -947,18 +982,7 @@ mod tests {
         let sweeps = Sweeps::new(tiny_opts());
         let ws: Vec<_> = suite().into_iter().take(2).collect();
         let bs: Vec<_> = suite::bundles(4).into_iter().take(1).collect();
-        let combos = [
-            (
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-            (
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Cdprf,
-                CfgKind::RfStudy { regs: 64 },
-            ),
-        ];
+        let combos = [ICOUNT_IQ32, CSSP_CDPRF64];
         let scaled = CfgKind::ScaledIq {
             threads: 4,
             clusters: 2,
@@ -1038,11 +1062,7 @@ mod tests {
     fn store_serves_second_process_warm() {
         let dir = tmp("warm");
         let ws: Vec<_> = suite().into_iter().take(2).collect();
-        let combos = [(
-            SchemeKind::Icount,
-            RegFileSchemeKind::Shared,
-            CfgKind::IqStudy { iq: 32 },
-        )];
+        let combos = [ICOUNT_IQ32];
         // Cold process: everything simulates and persists.
         let cold_cycles = {
             let sweeps = Sweeps::with_store(tiny_opts(), &dir).unwrap();
@@ -1074,11 +1094,7 @@ mod tests {
     fn store_does_not_alias_across_options() {
         let dir = tmp("opts");
         let ws: Vec<_> = suite().into_iter().take(1).collect();
-        let combos = [(
-            SchemeKind::Icount,
-            RegFileSchemeKind::Shared,
-            CfgKind::IqStudy { iq: 32 },
-        )];
+        let combos = [ICOUNT_IQ32];
         {
             let sweeps = Sweeps::with_store(tiny_opts(), &dir).unwrap();
             sweeps.smt_batch(&ws, &combos);
@@ -1103,19 +1119,15 @@ mod tests {
     static INJECT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn injected_panic_is_retried_and_the_sweep_survives() {
+    fn injected_panic_fails_one_job_and_the_sweep_survives() {
         let _guard = INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp("inject");
         // Workloads no other test in this binary simulates, so the armed
         // panic cannot leak into a concurrently running sweep.
         let ws: Vec<_> = suite().into_iter().skip(20).take(2).collect();
-        let combos = [(
-            SchemeKind::Icount,
-            RegFileSchemeKind::Shared,
-            CfgKind::IqStudy { iq: 32 },
-        )];
-        // One armed panic: the first attempt on the first workload dies,
-        // the retry succeeds, the other workload is untouched.
+        let combos = [ICOUNT_IQ32];
+        // One armed panic: the first workload's only attempt dies, the
+        // other workload is untouched.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         fault_injection::arm(&ws[0].name, 1);
@@ -1132,60 +1144,121 @@ mod tests {
         std::panic::set_hook(hook);
         assert_eq!(leftover, 0, "the injected panic must have fired");
         let c = sweeps.counters();
-        assert_eq!(c.orch.retries, 1);
-        assert_eq!(c.orch.failures, 0);
-        assert_eq!(
-            c.orch.completed, 2,
-            "both workloads complete despite the panic"
-        );
-        let k = Sweeps::smt_key(&ws[0], combos[0].0, combos[0].1, combos[0].2);
-        assert!(sweeps.get(&k).throughput() > 0.0);
-        // The journal tells the story with identity fields attached.
+        assert_eq!((c.orch.completed, c.orch.failures), (1, 1));
+        let key = |w: &Workload| Sweeps::smt_key(w, combos[0].0, combos[0].1, combos[0].2);
+        let failed = sweeps.get(&key(&ws[0]));
+        assert_eq!(failed.stats.cycles, 0, "failed job renders as zeros");
+        assert_eq!(failed.num_threads, 2);
+        assert!(sweeps.get(&key(&ws[1])).throughput() > 0.0);
+        // The journal tells the one-attempt story with identity fields
+        // attached.
         let events = Journal::read(sweeps.journal().unwrap().path());
-        let panics: Vec<_> = events
+        let story: Vec<_> = events
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::JobPanic { job, attempt, .. } => Some((job.label.clone(), *attempt)),
+                EventKind::JobFailed { job, attempts } => Some((job.label.clone(), *attempts)),
                 _ => None,
             })
             .collect();
-        assert_eq!(panics, [(ws[0].name.clone(), 1)]);
+        assert_eq!(story, [(ws[0].name.clone(), 1), (ws[0].name.clone(), 1)]);
+        // Nothing bogus was persisted: a fresh store misses the failed
+        // run and hits the other.
+        let sweeps2 = Sweeps::with_store(tiny_opts(), &dir).unwrap();
+        sweeps2.smt_batch(&ws, &combos);
+        let c2 = sweeps2.counters().store.unwrap();
+        assert_eq!((c2.hits, c2.misses), (1, 1));
+    }
+
+    /// Two callers ensuring overlapping keys at once simulate each
+    /// distinct key exactly once, whichever claims it first.
+    #[test]
+    fn concurrent_callers_simulate_each_key_once() {
+        let ws: Vec<_> = suite().into_iter().take(4).collect();
+        let combos = [ICOUNT_IQ32, CSSP_IQ32];
+        let sweeps = Sweeps::new(ExpOptions {
+            jobs: 1,
+            ..tiny_opts()
+        });
+        let start = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                start.wait();
+                sweeps.smt_batch(&ws[..3], &combos)
+            });
+            let b = s.spawn(|| {
+                start.wait();
+                sweeps.smt_batch(&ws[1..], &combos)
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(sweeps.counters().orch.completed, 4 * 2);
+        // The overlap is the same shared result in both answers.
+        for (ra, rb) in a[2..].iter().zip(&b[..4]) {
+            assert!(Arc::ptr_eq(ra, rb));
+        }
+    }
+
+    /// Holds its claim until the waiter has published `after`, then
+    /// panics while converting into a run: a claim that unwinds outside
+    /// the orchestrator.
+    #[derive(Clone)]
+    struct Doomed<'a> {
+        claimed: &'a std::sync::Barrier,
+        memo: &'a Memo,
+        after: RunKey,
+    }
+
+    impl From<Doomed<'_>> for RunInput {
+        fn from(d: Doomed) -> RunInput {
+            d.claimed.wait();
+            let mut slots = d.memo.lock();
+            while !matches!(slots.get(&d.after), Some(Slot::Ready(..))) {
+                slots = d
+                    .memo
+                    .settled
+                    .wait(slots)
+                    .unwrap_or_else(|e| e.into_inner());
+            }
+            drop(slots);
+            panic!("planted outside catch_unwind");
+        }
     }
 
     #[test]
-    fn permanently_poisoned_job_yields_zero_result_not_abort() {
+    fn unwound_claim_is_released_to_a_waiter() {
         let _guard = INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let dir = tmp("poison");
-        let ws: Vec<_> = suite().into_iter().skip(30).take(1).collect();
-        let combos = [(
-            SchemeKind::Icount,
-            RegFileSchemeKind::Shared,
-            CfgKind::IqStudy { iq: 32 },
-        )];
+        let ws: Vec<_> = suite().into_iter().skip(5).take(2).collect();
+        let (iq, rf, cfg) = ICOUNT_IQ32;
+        let [doomed_key, other_key] = [0, 1].map(|i| Sweeps::smt_key(&ws[i], iq, rf, cfg));
+        let sweeps = Sweeps::new(tiny_opts());
+        let claimed = std::sync::Barrier::new(2);
+        let doomed = Doomed {
+            claimed: &claimed,
+            memo: &sweeps.memo,
+            after: other_key.clone(),
+        };
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        fault_injection::arm(&ws[0].name, u32::MAX); // outlasts every retry
-        let sweeps = Sweeps::with_store(
-            ExpOptions {
-                jobs: 1,
-                ..tiny_opts()
-            },
-            &dir,
-        )
-        .unwrap();
-        sweeps.smt_batch(&ws, &combos);
-        fault_injection::disarm();
+        let (claimer, waiter) = std::thread::scope(|s| {
+            let claimer = s.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    sweeps.ensure(&[(doomed_key.clone(), &doomed)])
+                }))
+            });
+            let waiter = s.spawn(|| {
+                // The claimer holds `doomed_key` from here until this
+                // caller has published its own claim, `other_key`; it
+                // unwinds while this caller waits on `doomed_key`.
+                claimed.wait();
+                sweeps.ensure(&[(doomed_key.clone(), &ws[0]), (other_key.clone(), &ws[1])])
+            });
+            (claimer.join().unwrap(), waiter.join().unwrap())
+        });
         std::panic::set_hook(hook);
-        let c = sweeps.counters();
-        assert_eq!(c.orch.failures, 1);
-        let k = Sweeps::smt_key(&ws[0], combos[0].0, combos[0].1, combos[0].2);
-        let r = sweeps.get(&k);
-        assert_eq!(r.stats.cycles, 0, "failed job renders as zeros");
-        assert_eq!(r.num_threads, 2);
-        // Nothing bogus was persisted: a fresh store misses.
-        let sweeps2 = Sweeps::with_store(tiny_opts(), &dir).unwrap();
-        sweeps2.smt_batch(&ws, &combos);
-        assert_eq!(sweeps2.counters().store.unwrap().hits, 0);
+        assert!(claimer.is_err(), "the claimer unwound");
+        assert!(waiter[0].throughput() > 0.0, "the waiter computed the key");
+        assert_eq!(sweeps.counters().orch.completed, 2);
     }
 
     /// Two suite workloads plus two that reuse their traces: one pairs a
@@ -1227,18 +1300,7 @@ mod tests {
     #[test]
     fn batch_frees_every_stream_and_matches_per_config() {
         let ws = repeating_workloads(10);
-        let combos = [
-            (
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-            (
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Cdprf,
-                CfgKind::RfStudy { regs: 64 },
-            ),
-        ];
+        let combos = [ICOUNT_IQ32, CSSP_CDPRF64];
         let per_config = Sweeps::new(ExpOptions {
             jobs: 1,
             ..tiny_opts()
@@ -1288,18 +1350,7 @@ mod tests {
         };
         let bound = |threads: usize| (threads * (JOBS + 1)) as u64;
         let ws: Vec<Workload> = suite().into_iter().skip(24).take(48).collect();
-        let combos = [
-            (
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-            (
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-        ];
+        let combos = [ICOUNT_IQ32, CSSP_IQ32];
         let smt = Sweeps::new(opts);
         smt.smt_batch(&ws[..24], &combos);
         let c = smt.counters().streams.unwrap();
@@ -1338,18 +1389,7 @@ mod tests {
     fn serial_batch_decodes_each_trace_once_per_ensure() {
         let ws = repeating_workloads(12);
         let distinct = distinct_traces(&ws);
-        let combos = [
-            (
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-            (
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-        ];
+        let combos = [ICOUNT_IQ32, CSSP_IQ32];
         let sweeps = Sweeps::new(ExpOptions {
             jobs: 1,
             batch: true,
@@ -1366,25 +1406,14 @@ mod tests {
     }
 
     #[test]
-    fn retried_batch_job_keeps_its_stream() {
+    fn failed_batch_job_releases_its_stream() {
         let _guard = INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Workloads no other test in this binary simulates. The first
-        // workload's first job panics once; a lease released per attempt
-        // instead of per job would evict the trace it shares with
-        // `reuse/cross` early and force a second decode.
+        // workload's first job panics; its lease must still be released
+        // exactly once, so the trace it shares with `reuse/cross` is
+        // neither freed early (a second decode) nor leaked.
         let ws = repeating_workloads(40);
-        let combos = [
-            (
-                SchemeKind::Icount,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-            (
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Shared,
-                CfgKind::IqStudy { iq: 32 },
-            ),
-        ];
+        let combos = [ICOUNT_IQ32, CSSP_IQ32];
         let opts = ExpOptions {
             jobs: 1,
             batch: true,
@@ -1395,25 +1424,31 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         fault_injection::arm(&ws[0].name, 1);
-        let retried = Sweeps::new(opts);
-        retried.smt_batch(&ws, &combos);
+        let failed = Sweeps::new(opts);
+        failed.smt_batch(&ws, &combos);
         let leftover = fault_injection::disarm();
         std::panic::set_hook(hook);
         assert_eq!(leftover, 0, "the injected panic must have fired");
-        let c = retried.counters();
-        assert_eq!((c.orch.retries, c.orch.failures), (1, 0));
+        let c = failed.counters();
+        assert_eq!((c.orch.completed, c.orch.failures), (7, 1));
         assert_eq!(
             c.streams.unwrap().decoded,
             distinct_traces(&ws),
-            "the retry lost its stream"
+            "the failed job freed a stream early"
         );
-        assert_eq!(streams_held(&retried), 0);
-        for w in &ws {
-            for &(iq, rf, cfg) in &combos {
-                let key = Sweeps::smt_key(w, iq, rf, cfg);
+        assert_eq!(streams_held(&failed), 0);
+        for (n, key) in ws
+            .iter()
+            .flat_map(|w| combos.map(|(iq, rf, cfg)| Sweeps::smt_key(w, iq, rf, cfg)))
+            .enumerate()
+        {
+            let got = failed.get(&key);
+            if n == 0 {
+                assert_eq!(got.stats.cycles, 0, "{key:?} failed");
+            } else {
                 assert_eq!(
                     serde_json::to_string(&clean.get(&key)).unwrap(),
-                    serde_json::to_string(&retried.get(&key)).unwrap(),
+                    serde_json::to_string(&got).unwrap(),
                     "{key:?}"
                 );
             }
@@ -1423,11 +1458,7 @@ mod tests {
     #[test]
     fn parallel_and_serial_agree() {
         let ws: Vec<_> = suite().into_iter().take(3).collect();
-        let combos = [(
-            SchemeKind::Cssp,
-            RegFileSchemeKind::Shared,
-            CfgKind::IqStudy { iq: 32 },
-        )];
+        let combos = [CSSP_IQ32];
         let a = Sweeps::new(ExpOptions {
             jobs: 1,
             ..tiny_opts()

@@ -19,8 +19,10 @@ use csmt_types::SampleSpec;
 use serde::{Deserialize, Serialize};
 
 /// Everything that groups specs onto one memoizing [`crate::Sweeps`]:
-/// each option that participates in the store identity of a run.
-pub type SweepGroupKey = (u64, u64, u64, bool, Option<SampleSpec>);
+/// each option that participates in the store identity of a run. `batch`
+/// does not: like `--jobs`, it changes how runs execute, not what they
+/// produce, so groups partition the store's keys.
+pub type SweepGroupKey = (u64, u64, u64, Option<SampleSpec>);
 
 /// One submitted unit of work: which artifacts to produce, under which
 /// run options.
@@ -107,13 +109,7 @@ impl JobSpec {
     /// Key grouping specs that can share one memoizing [`crate::Sweeps`]
     /// instance: every option that participates in the store identity.
     pub fn sweep_group(&self) -> SweepGroupKey {
-        (
-            self.target,
-            self.warmup,
-            self.max_cycles,
-            self.batch,
-            self.sample,
-        )
+        (self.target, self.warmup, self.max_cycles, self.sample)
     }
 }
 
@@ -187,7 +183,12 @@ mod tests {
         );
         let mut c = spec(&["fig2"]);
         c.batch = true;
-        assert_ne!(a.sweep_group(), c.sweep_group());
+        assert_eq!(
+            a.sweep_group(),
+            c.sweep_group(),
+            "batch doesn't split groups"
+        );
+        assert_ne!(a.canonical(), c.canonical(), "but it is a distinct spec");
         let mut d = spec(&["fig2"]);
         d.sample = Some(SampleSpec {
             intervals: 8,

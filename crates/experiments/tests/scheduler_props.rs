@@ -1,10 +1,9 @@
 //! Property tests for the parallel sweep scheduler: arbitrary job sets
 //! with injected panics (via the orchestrator's fault hook) must never
-//! lose a job, run one twice, or blow the retry bound. These pin the
-//! executor/orchestrator contract the `--jobs` flag depends on: each
-//! submitted job is executed exactly once by the in-order executor,
-//! panics inside a job are retried up to `RetryPolicy::max_attempts`
-//! (3) times, and `SweepCounters` accounts for every attempt.
+//! lose a job or run one twice. These pin the executor/orchestrator
+//! contract the `--jobs` flag depends on: each submitted job is executed
+//! exactly once by the in-order executor, a panic inside a job fails it
+//! on its one attempt, and `SweepCounters` accounts for every job.
 //!
 //! Kept in its own test binary: the fault-injection hook is process
 //! global, so these cases must not share a process with other tests
@@ -14,9 +13,6 @@ use csmt_experiments::runner::{fault_injection, CfgKind, ExpOptions, Sweeps};
 use csmt_trace::suite::{suite, Workload};
 use csmt_types::{RegFileSchemeKind, SchemeKind};
 use proptest::prelude::*;
-
-/// Total attempts per job, mirroring `RetryPolicy::default()`.
-const MAX_ATTEMPTS: u32 = 3;
 
 /// Workload pool whose names are pairwise non-substrings of each other,
 /// so arming a fault on one job's exact label can never match a sibling
@@ -60,12 +56,10 @@ proptest! {
     /// `faults[i]` times, under an arbitrary worker count:
     ///
     /// * the executor runs each job exactly once (`exec.executed`);
-    /// * jobs with fewer than `MAX_ATTEMPTS` injected panics complete,
-    ///   the rest fail permanently — nothing is lost either way;
-    /// * `retries` is exactly the number of non-final failed attempts
-    ///   and never exceeds `MAX_ATTEMPTS - 1` per job;
-    /// * every armed shot beyond the attempt bound is left over in the
-    ///   hook (the orchestrator gave up, it didn't keep spinning).
+    /// * jobs with no injected panic complete, every armed job fails —
+    ///   nothing is lost either way;
+    /// * each armed job consumes exactly one shot: every other shot is
+    ///   left over in the hook (the orchestrator did not run it again).
     #[test]
     fn injected_panics_never_lose_or_double_count_jobs(
         faults in proptest::collection::vec(0u32..6, 1..=6usize),
@@ -98,12 +92,8 @@ proptest! {
         )];
         sweeps.smt_batch(&workloads, &combos);
 
-        let doomed = faults.iter().filter(|&&t| t >= MAX_ATTEMPTS).count() as u64;
-        let expected_retries: u64 = faults
-            .iter()
-            .map(|&t| t.min(MAX_ATTEMPTS - 1) as u64)
-            .sum();
-        let leftover: u32 = faults.iter().map(|&t| t.saturating_sub(MAX_ATTEMPTS)).sum();
+        let doomed = faults.iter().filter(|&&t| t > 0).count() as u64;
+        let leftover: u32 = faults.iter().map(|&t| t.saturating_sub(1)).sum();
 
         let c = sweeps.counters();
         prop_assert_eq!(
@@ -114,7 +104,6 @@ proptest! {
         );
         prop_assert_eq!(c.orch.completed, faults.len() as u64 - doomed);
         prop_assert_eq!(c.orch.failures, doomed);
-        prop_assert_eq!(c.orch.retries, expected_retries);
         prop_assert_eq!(fault_injection::disarm(), leftover, "unused shots mismatch");
 
         // No job may be lost or double-inserted: one memoized result per
@@ -128,7 +117,7 @@ proptest! {
                 RegFileSchemeKind::Shared,
                 CfgKind::IqStudy { iq: 32 },
             ));
-            if t >= MAX_ATTEMPTS {
+            if t > 0 {
                 prop_assert_eq!(r.stats.cycles, 0, "{} should have failed", w.name);
             } else {
                 prop_assert!(r.stats.cycles > 0, "{} should have completed", w.name);

@@ -140,6 +140,12 @@ pub struct JobTotals {
 pub struct Engine {
     cfg: EngineConfig,
     jobs: HashMap<u64, Job>,
+    /// Canonical spec → id of the non-terminal job with that spec (there
+    /// is at most one: identical submissions attach), so a submission
+    /// finds its identical job without walking every job.
+    live: HashMap<String, u64>,
+    /// Jobs `Admitted` or `Running`.
+    running: usize,
     /// Admission queue, FIFO by submission order.
     queue: Vec<u64>,
     next_id: u64,
@@ -152,6 +158,8 @@ impl Engine {
         Engine {
             cfg,
             jobs: HashMap::new(),
+            live: HashMap::new(),
+            running: 0,
             queue: Vec::new(),
             next_id: 1,
             draining: false,
@@ -167,6 +175,11 @@ impl Engine {
     /// Canonical spec of a job, if known.
     pub fn canonical(&self, id: u64) -> Option<&str> {
         self.jobs.get(&id).map(|j| j.canonical.as_str())
+    }
+
+    /// Jobs `Admitted` or `Running`, kept as a running count.
+    pub fn running(&self) -> usize {
+        self.running
     }
 
     /// True once `Shutdown` was received.
@@ -202,6 +215,7 @@ impl Engine {
             Input::Submit { canonical } => self.submit(canonical, &mut fx),
             Input::Recover { id, canonical } => {
                 self.next_id = self.next_id.max(id + 1);
+                self.live.insert(canonical.clone(), id);
                 self.jobs.insert(
                     id,
                     Job {
@@ -252,25 +266,19 @@ impl Engine {
     /// draining); emit `Stop` once a drain has nothing left running.
     fn pump(&mut self, fx: &mut Vec<Effect>) {
         if !self.draining {
-            while self.active() < self.cfg.max_running && !self.queue.is_empty() {
+            while self.running < self.cfg.max_running && !self.queue.is_empty() {
                 let id = self.queue.remove(0);
                 let job = self.jobs.get_mut(&id).expect("queued job exists");
                 job.state = JobState::Admitted;
+                self.running += 1;
                 fx.push(Effect::Start {
                     id,
                     canonical: job.canonical.clone(),
                 });
             }
-        } else if self.active() == 0 {
+        } else if self.running == 0 {
             fx.push(Effect::Stop);
         }
-    }
-
-    fn active(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Admitted | JobState::Running))
-            .count()
     }
 
     fn submit(&mut self, canonical: String, fx: &mut Vec<Effect>) {
@@ -282,11 +290,7 @@ impl Engine {
             return;
         }
         // Dedup: an identical non-terminal job absorbs the submission.
-        if let Some((&id, _)) = self
-            .jobs
-            .iter()
-            .find(|(_, j)| !j.state.is_terminal() && j.canonical == canonical)
-        {
+        if let Some(&id) = self.live.get(&canonical) {
             fx.push(Effect::Accepted { id, attached: true });
             return;
         }
@@ -300,6 +304,7 @@ impl Engine {
         let id = self.next_id;
         self.next_id += 1;
         self.submitted += 1;
+        self.live.insert(canonical.clone(), id);
         self.jobs.insert(
             id,
             Job {
@@ -329,6 +334,8 @@ impl Engine {
         if !matches!(job.state, JobState::Admitted | JobState::Running) {
             return;
         }
+        self.running -= 1;
+        self.live.remove(&job.canonical);
         match error {
             None => {
                 job.state = JobState::Done;
@@ -365,6 +372,7 @@ impl Engine {
             Some(job) => match job.state {
                 JobState::Queued => {
                     job.state = JobState::Cancelled;
+                    self.live.remove(&job.canonical);
                     self.queue.retain(|&q| q != id);
                     fx.push(Effect::Journal(EventKind::ServeCancelled { job_id: id }));
                     fx.push(Effect::Notify {

@@ -17,9 +17,10 @@
 //! * [`server`] — the adapters: Unix-socket / local-TCP connections
 //!   speaking the line-delimited JSON protocol of
 //!   [`csmt_experiments::proto`], job worker threads running artifacts
-//!   through the shared store-backed, single-flight-coalesced
-//!   [`csmt_experiments::Sweeps`] layer, and the effect interpreter
-//!   wiring it all together.
+//!   through the shared store-backed [`csmt_experiments::Sweeps`] layer
+//!   (one memo per run options, whose in-flight entries keep each run
+//!   to one simulation across concurrent jobs), and the effect
+//!   interpreter wiring it all together.
 //!
 //! Clients: `csmt-experiments client` submits specs, streams events and
 //! renders tables byte-identically to the batch path.

@@ -8,7 +8,8 @@
 //! Listens on a Unix-domain socket (and optionally local TCP), accepts
 //! line-delimited JSON requests (`submit` / `status` / `events` /
 //! `cancel` / `stats` / `shutdown`), and runs submitted sweeps through
-//! the shared content-addressed store with single-flight dedup. On
+//! the shared content-addressed store and one in-memory run cache per
+//! run options, which holds in-flight runs so each simulates once. On
 //! start it replays the store journal and re-runs any job a previous
 //! daemon left unfinished, so a crash or kill never loses accepted
 //! work. Exits cleanly after a `shutdown` request drains running jobs.

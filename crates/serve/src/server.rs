@@ -1,14 +1,14 @@
 //! Socket adapters around the pure [`crate::engine`].
 //!
 //! The [`Server`] owns the shared infrastructure — one
-//! [`ResultStore`] + [`Journal`], one [`SingleFlight`] table, one
-//! memoizing [`Sweeps`] per option group — and translates between the
-//! wire protocol and engine inputs. Each accepted connection runs
-//! [`Server::handle_conn`] on its own thread; each admitted job runs on
-//! its own worker thread, simulating through the same store-backed,
-//! single-flight-coalesced sweep layer the batch CLI uses, so artifacts
-//! are byte-identical to a local run and every RunKey simulates at most
-//! once across all concurrent clients.
+//! [`ResultStore`] + [`Journal`] and one memoizing [`Sweeps`] per option
+//! group — and translates between the wire protocol and engine inputs.
+//! Each accepted connection runs [`Server::handle_conn`] on its own
+//! thread; each admitted job runs on its own worker thread, simulating
+//! through the same store-backed sweep layer the batch CLI uses, so
+//! artifacts are byte-identical to a local run. The groups partition the
+//! store's keys, and a group's memo holds in-flight runs too, so every
+//! run simulates at most once across all concurrent clients.
 //!
 //! All engine transitions go through [`Server::dispatch`]: lock the
 //! engine, apply the input, unlock, then perform the returned effects
@@ -22,8 +22,8 @@ use crate::recovery::recover;
 use csmt_experiments::figures::run_named_all;
 use csmt_experiments::proto::{read_request, write_line, JobEvent, Request, Response, ServeStats};
 use csmt_experiments::spec::{JobSpec, SweepGroupKey};
-use csmt_experiments::{RunOutput, Sweeps};
-use csmt_store::{Journal, ResultStore, SingleFlight};
+use csmt_experiments::Sweeps;
+use csmt_store::{Journal, ResultStore};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::path::PathBuf;
@@ -117,7 +117,7 @@ impl Drop for ReadHold {
 }
 
 /// Specs grouped by the options that shape store identity share one
-/// memoizing `Sweeps`.
+/// memoizing `Sweeps`, so each run has exactly one memo in the daemon.
 type SweepGroups = Mutex<HashMap<SweepGroupKey, Arc<Sweeps>>>;
 
 struct Inner {
@@ -125,7 +125,6 @@ struct Inner {
     engine: Mutex<Engine>,
     store: Arc<ResultStore>,
     journal: Arc<Journal>,
-    flight: Arc<SingleFlight<RunOutput>>,
     sweeps: SweepGroups,
     logs: Mutex<HashMap<u64, Arc<JobLog>>>,
     /// Set by the engine's `Stop` effect: accept loops exit.
@@ -153,7 +152,6 @@ impl Server {
                 cfg,
                 store,
                 journal,
-                flight: Arc::new(SingleFlight::new()),
                 sweeps: Mutex::new(HashMap::new()),
                 logs: Mutex::new(HashMap::new()),
                 stopped: AtomicBool::new(false),
@@ -193,7 +191,7 @@ impl Server {
     }
 
     /// Daemon-wide counters: engine job totals plus the sweep layer's
-    /// store/orchestrator/executor/single-flight counters.
+    /// store/orchestrator/executor counters.
     pub fn stats(&self) -> ServeStats {
         let totals = self
             .inner
@@ -202,7 +200,6 @@ impl Server {
             .unwrap_or_else(|e| e.into_inner())
             .totals();
         let store = self.inner.store.counters();
-        let flight = self.inner.flight.counters();
         let mut stats = ServeStats {
             jobs_submitted: totals.submitted,
             jobs_done: totals.done,
@@ -214,17 +211,14 @@ impl Server {
             store_misses: store.misses,
             store_puts: store.puts,
             store_quarantined: store.quarantined,
-            flights_led: flight.led,
-            flights_coalesced: flight.coalesced,
             ..ServeStats::default()
         };
-        // The store/flight counters are global (shared Arcs); the
-        // orchestrator and executor live per sweep group, so sum them.
+        // The store counters are global (a shared Arc); the orchestrator
+        // and executor live per sweep group, so sum them.
         let groups = self.inner.sweeps.lock().unwrap_or_else(|e| e.into_inner());
         for sweeps in groups.values() {
             let c = sweeps.counters();
             stats.sims_completed += c.orch.completed;
-            stats.sims_retried += c.orch.retries;
             stats.sims_failed += c.orch.failures;
             stats.exec_workers = stats.exec_workers.max(c.exec.workers);
             stats.exec_executed += c.exec.executed;
@@ -286,7 +280,9 @@ impl Server {
     }
 
     /// The memoizing sweep store for one option group, shared by every
-    /// job with the same (target, warmup, max_cycles, batch).
+    /// job with the same (target, warmup, max_cycles, sample). The group
+    /// runs with the options of the spec that created it: `batch` only
+    /// changes how runs execute, never what they produce.
     fn sweeps_for(&self, spec: &JobSpec) -> Arc<Sweeps> {
         self.inner
             .sweeps
@@ -298,7 +294,6 @@ impl Server {
                     spec.to_options(self.inner.cfg.jobs, false),
                     self.inner.store.clone(),
                     self.inner.journal.clone(),
-                    self.inner.flight.clone(),
                 ))
             })
             .clone()

@@ -2,9 +2,9 @@
 //! (drawn from a small spec pool, so duplicates attach), starts,
 //! completions (ok or error), cancellations and shutdowns, in any order
 //! and for any id, known or not. The engine must never panic and must
-//! keep its admission bounds after every input; once every admitted job
-//! has finished, every accepted submission must have ended in exactly
-//! one terminal state.
+//! keep its admission bounds, its running count and its dedup index
+//! after every input; once every admitted job has finished, every
+//! accepted submission must have ended in exactly one terminal state.
 
 use csmt_experiments::proto::JobEvent;
 use csmt_serve::{Effect, Engine, EngineConfig, Input, JobState};
@@ -71,6 +71,15 @@ impl Model {
     /// Apply one input and check the invariants that hold after every
     /// step.
     fn apply(&mut self, input: Input) -> Result<(), String> {
+        // Non-terminal jobs with the submitted spec, before the input.
+        let identical: Vec<u64> = match &input {
+            Input::Submit { canonical } => self
+                .in_state(|s| !s.is_terminal())
+                .into_iter()
+                .filter(|&id| self.engine.canonical(id) == Some(canonical.as_str()))
+                .collect(),
+            _ => Vec::new(),
+        };
         for effect in self.engine.handle(input.clone()) {
             match effect {
                 Effect::Accepted { id, attached } => {
@@ -81,6 +90,13 @@ impl Model {
                         state.is_some_and(|s| !s.is_terminal()),
                         "accepted job {id} is {state:?}"
                     );
+                    // Dedup attaches exactly when a non-terminal job has
+                    // the same spec, and then to that job.
+                    if attached {
+                        prop_assert_eq!(&identical, &vec![id], "{:?} attached", input);
+                    } else {
+                        prop_assert!(identical.is_empty(), "{input:?} missed {identical:?}");
+                    }
                 }
                 Effect::Notify {
                     id,
@@ -100,6 +116,12 @@ impl Model {
             }
         }
         let totals = self.engine.totals();
+        prop_assert_eq!(
+            self.engine.running() as u64,
+            totals.running,
+            "running count after {:?}",
+            input
+        );
         prop_assert!(
             totals.queued as usize <= self.cfg.queue_depth,
             "{} queued, depth {} after {:?}",

@@ -48,18 +48,20 @@ pub enum EventKind {
     CacheMiss { job: JobDesc },
     /// A corrupt record was quarantined during lookup.
     Quarantined { job: JobDesc },
-    /// A simulation attempt began.
+    /// A simulation began.
     JobStart { job: JobDesc },
     /// A simulation finished; wall time in milliseconds.
     JobOk { job: JobDesc, wall_ms: u64 },
-    /// An attempt panicked and will be retried (attempt is 1-based).
+    /// A simulation panicked. `attempt` is 1-based; a job runs once, so
+    /// it is 1 (journals from builds that retried may hold larger values).
     JobPanic {
         job: JobDesc,
         attempt: u32,
         error: String,
     },
-    /// All attempts exhausted; the job is recorded as failed and the sweep
-    /// continues.
+    /// The job is recorded as failed after its panic and the sweep
+    /// continues; `attempts` is 1 (larger in journals from builds that
+    /// retried).
     JobFailed { job: JobDesc, attempts: u32 },
     /// The sweep process finished cleanly.
     RunEnd { artifacts: usize },

@@ -17,12 +17,12 @@
 //!   records are **quarantined** instead of panicking — a damaged cache
 //!   degrades into a re-simulation, never into wrong data.
 //! * [`Journal`] appends structured JSONL events (cache hits/misses, job
-//!   start/finish/retry, artifact progress) with a per-run `run_id` and a
+//!   start/finish/failure, artifact progress) with a per-run `run_id` and a
 //!   monotonic `seq`, so an interrupted sweep can be resumed and tests can
 //!   assert on exactly what happened.
-//! * [`Orchestrator`] wraps each simulation in `catch_unwind` with a
-//!   bounded retry budget: one poisoned run is recorded as a failed job
-//!   and the rest of the sweep completes.
+//! * [`Orchestrator`] runs each simulation once inside `catch_unwind`:
+//!   a poisoned run is recorded as a failed job and the rest of the
+//!   sweep completes.
 //! * [`Executor`] runs a fixed bag of jobs across `--jobs N` worker
 //!   threads that take the next job from one shared atomic cursor, so
 //!   jobs start in item order, and hands results back **in item order**,
@@ -47,7 +47,6 @@ pub mod executor;
 pub mod journal;
 pub mod key;
 pub mod orchestrator;
-pub mod single_flight;
 pub mod store;
 
 pub use artifact::{ArtifactCounters, ArtifactStore, ARTIFACT_SCHEMA};
@@ -56,6 +55,5 @@ pub use journal::{Event, EventKind, JobDesc, Journal};
 pub use key::{fnv1a, StoreKey, SCHEMA_VERSION};
 #[doc(hidden)]
 pub use orchestrator::fault_injection;
-pub use orchestrator::{OrchCounters, Orchestrator, RetryPolicy};
-pub use single_flight::{FlightCounters, SingleFlight};
+pub use orchestrator::{OrchCounters, Orchestrator};
 pub use store::{Lookup, ResultStore, StoreCounters};

@@ -1,62 +1,39 @@
-//! Crash-resilient job execution: `catch_unwind` + bounded retries.
+//! Crash-resilient job execution: one `catch_unwind` attempt per job.
 //!
 //! The simulator is supposed to be panic-free, but a sweep of thousands of
 //! runs must not lose hours of work to one poisoned configuration. The
-//! orchestrator runs each job inside [`std::panic::catch_unwind`]; a panic
-//! is journaled and retried up to [`RetryPolicy::max_attempts`] times
-//! total, after which the job is recorded as failed and the sweep moves
-//! on. (Retries matter even for a deterministic simulator: panics can also
-//! come from the environment — OOM-killed allocations, fs errors in probe
-//! hooks — and a retry distinguishes poison from transient bad luck.)
+//! orchestrator runs each job once inside [`std::panic::catch_unwind`]: a
+//! panic is journaled, the job is recorded as failed, and the sweep moves
+//! on. A run is a pure function of its inputs, so a second attempt would
+//! only panic the same way; there are no retries.
 
 use crate::journal::{EventKind, JobDesc, Journal};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How persistently to retry a panicking job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per job (1 = no retries). Must be ≥ 1.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3 }
-    }
-}
-
 /// Orchestrator traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OrchCounters {
-    /// Jobs that produced a result (on any attempt).
+    /// Jobs that produced a result.
     pub completed: u64,
-    /// Individual panicking attempts that were retried.
-    pub retries: u64,
-    /// Jobs abandoned after exhausting all attempts.
+    /// Jobs that panicked and were recorded as failed.
     pub failures: u64,
 }
 
-/// Runs jobs with panic isolation, retry accounting and journaling.
+/// Runs jobs with panic isolation and journaling.
 pub struct Orchestrator {
-    policy: RetryPolicy,
     journal: Option<Arc<Journal>>,
     completed: AtomicU64,
-    retries: AtomicU64,
     failures: AtomicU64,
 }
 
 impl Orchestrator {
-    pub fn new(policy: RetryPolicy, journal: Option<Arc<Journal>>) -> Orchestrator {
-        assert!(policy.max_attempts >= 1, "need at least one attempt");
+    pub fn new(journal: Option<Arc<Journal>>) -> Orchestrator {
         Orchestrator {
-            policy,
             journal,
             completed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             failures: AtomicU64::new(0),
         }
     }
@@ -65,7 +42,6 @@ impl Orchestrator {
     pub fn counters(&self) -> OrchCounters {
         OrchCounters {
             completed: self.completed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
         }
     }
@@ -76,47 +52,41 @@ impl Orchestrator {
         }
     }
 
-    /// Execute `job`, isolating panics. Returns `None` iff every attempt
+    /// Execute `job` once, isolating panics. Returns `None` iff it
     /// panicked; the failure is journaled and counted, never propagated —
     /// the caller decides how a failed job appears in its figures.
-    pub fn run_job<R>(&self, desc: &JobDesc, job: impl Fn() -> R) -> Option<R> {
-        for attempt in 1..=self.policy.max_attempts {
-            self.log(EventKind::JobStart { job: desc.clone() });
-            let t0 = Instant::now();
-            match catch_unwind(AssertUnwindSafe(&job)) {
-                Ok(result) => {
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    self.log(EventKind::JobOk {
-                        job: desc.clone(),
-                        wall_ms: t0.elapsed().as_millis() as u64,
-                    });
-                    return Some(result);
-                }
-                Err(payload) => {
-                    let error = panic_message(payload.as_ref());
-                    self.log(EventKind::JobPanic {
-                        job: desc.clone(),
-                        attempt,
-                        error,
-                    });
-                    if attempt < self.policy.max_attempts {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+    pub fn run_job<R>(&self, desc: &JobDesc, job: impl FnOnce() -> R) -> Option<R> {
+        self.log(EventKind::JobStart { job: desc.clone() });
+        let t0 = Instant::now();
+        match catch_unwind(AssertUnwindSafe(job)) {
+            Ok(result) => {
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                self.log(EventKind::JobOk {
+                    job: desc.clone(),
+                    wall_ms: t0.elapsed().as_millis() as u64,
+                });
+                Some(result)
+            }
+            Err(payload) => {
+                self.failures.fetch_add(1, Ordering::Relaxed);
+                self.log(EventKind::JobPanic {
+                    job: desc.clone(),
+                    attempt: 1,
+                    error: panic_message(payload.as_ref()),
+                });
+                self.log(EventKind::JobFailed {
+                    job: desc.clone(),
+                    attempts: 1,
+                });
+                None
             }
         }
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        self.log(EventKind::JobFailed {
-            job: desc.clone(),
-            attempts: self.policy.max_attempts,
-        });
-        None
     }
 }
 
 /// Test-only fault injection: arm a number of simulated-job panics for
-/// job labels containing a substring, to exercise the retry and failure
-/// paths end-to-end (the sweep runner checks [`fault_injection::maybe_panic`]
+/// job labels containing a substring, to exercise the failure path
+/// end-to-end (the sweep runner checks [`fault_injection::maybe_panic`]
 /// at the top of every job).
 ///
 /// Safe under concurrent sweep workers and concurrent tests: the armed
@@ -189,7 +159,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     fn desc() -> JobDesc {
         JobDesc {
@@ -212,68 +181,51 @@ mod tests {
 
     #[test]
     fn success_on_first_attempt() {
-        let orch = Orchestrator::new(RetryPolicy::default(), None);
+        let orch = Orchestrator::new(None);
         assert_eq!(orch.run_job(&desc(), || 42), Some(42));
         let c = orch.counters();
-        assert_eq!((c.completed, c.retries, c.failures), (1, 0, 0));
+        assert_eq!((c.completed, c.failures), (1, 0));
     }
 
     #[test]
-    fn panicking_job_is_retried_until_it_succeeds() {
+    fn panicking_job_fails_once_without_aborting() {
         quiet_panics(|| {
-            let orch = Orchestrator::new(RetryPolicy { max_attempts: 3 }, None);
-            let calls = AtomicU32::new(0);
-            let out = orch.run_job(&desc(), || {
-                if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                    panic!("poisoned attempt");
-                }
-                7u32
+            let orch = Orchestrator::new(None);
+            let mut calls = 0;
+            let out: Option<u32> = orch.run_job(&desc(), || {
+                calls += 1;
+                panic!("always")
             });
-            assert_eq!(out, Some(7));
-            let c = orch.counters();
-            assert_eq!((c.completed, c.retries, c.failures), (1, 2, 0));
-        });
-    }
-
-    #[test]
-    fn permanently_poisoned_job_fails_without_aborting() {
-        quiet_panics(|| {
-            let orch = Orchestrator::new(RetryPolicy { max_attempts: 2 }, None);
-            let out: Option<u32> = orch.run_job(&desc(), || panic!("always"));
             assert_eq!(out, None);
+            assert_eq!(calls, 1, "a panicking job runs exactly once");
             let c = orch.counters();
-            assert_eq!((c.completed, c.retries, c.failures), (0, 1, 1));
+            assert_eq!((c.completed, c.failures), (0, 1));
             // The orchestrator is still usable for the next job.
             assert_eq!(orch.run_job(&desc(), || 1), Some(1));
         });
     }
 
     #[test]
-    fn journal_records_the_retry_story() {
+    fn journal_records_the_failure_story() {
         quiet_panics(|| {
             let dir =
                 std::env::temp_dir().join(format!("csmt-orch-journal-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let journal = Arc::new(Journal::open(&dir).unwrap());
-            let orch = Orchestrator::new(RetryPolicy { max_attempts: 2 }, Some(journal.clone()));
-            let calls = AtomicU32::new(0);
-            orch.run_job(&desc(), || {
-                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("first attempt dies");
-                }
-                0u32
-            });
-            let kinds: Vec<&'static str> = Journal::read(journal.path())
+            let orch = Orchestrator::new(Some(journal.clone()));
+            orch.run_job(&desc(), || -> u32 { panic!("dies") });
+            orch.run_job(&desc(), || 0u32);
+            let kinds: Vec<String> = Journal::read(journal.path())
                 .into_iter()
                 .map(|e| match e.kind {
-                    EventKind::JobStart { .. } => "start",
-                    EventKind::JobPanic { .. } => "panic",
-                    EventKind::JobOk { .. } => "ok",
-                    EventKind::JobFailed { .. } => "failed",
-                    _ => "other",
+                    EventKind::JobStart { .. } => "start".to_string(),
+                    EventKind::JobPanic { attempt, .. } => format!("panic{attempt}"),
+                    EventKind::JobOk { .. } => "ok".to_string(),
+                    EventKind::JobFailed { attempts, .. } => format!("failed{attempts}"),
+                    _ => "other".to_string(),
                 })
                 .collect();
-            assert_eq!(kinds, ["start", "panic", "start", "ok"]);
+            assert_eq!(kinds, ["start", "panic1", "failed1", "start", "ok"]);
         });
     }
 }

@@ -11,7 +11,9 @@
 #   cold     --store DIR --jobs 2 (fresh store)
 #   warm     the same command again, served from the store
 #   client1  } two concurrent `client` runs against a csmt-serve daemon
-#   client2  } on a fresh store
+#   client2  } on a fresh store, client2 with --batch: the two specs
+#              differ only in batching, so they share one memo group and
+#              each run is computed once, by whichever job claims it
 #   memo     one more client run against the same daemon: every run is
 #            already in its in-memory memo, so the tables (the `-ci`
 #            companions of sampled sets included) render from shared
@@ -114,7 +116,7 @@ for set in "${SETS[@]}"; do
     start_daemon "$work/serve-store"
     leg client1 "$BIN" client --socket "$sock" "${args[@]}" &
     c1=$!
-    leg client2 "$BIN" client --socket "$sock" "${args[@]}" &
+    leg client2 "$BIN" client --socket "$sock" "${args[@]}" --batch &
     c2=$!
     wait "$c1"
     wait "$c2"

@@ -5,7 +5,7 @@
 
 use clustered_smt::prelude::*;
 
-fn tp(iq: SchemeKind, rf: RegFileSchemeKind, cfg: MachineConfig, name: &str) -> f64 {
+fn run(iq: SchemeKind, rf: RegFileSchemeKind, cfg: MachineConfig, name: &str) -> SimResult {
     let workloads = suite();
     let w = workloads.iter().find(|w| w.name == name).expect("workload");
     SimBuilder::new(cfg)
@@ -15,7 +15,10 @@ fn tp(iq: SchemeKind, rf: RegFileSchemeKind, cfg: MachineConfig, name: &str) -> 
         .warmup(2_000)
         .commit_target(4_000)
         .run()
-        .throughput()
+}
+
+fn tp(iq: SchemeKind, rf: RegFileSchemeKind, cfg: MachineConfig, name: &str) -> f64 {
+    run(iq, rf, cfg, name).throughput()
 }
 
 #[test]
@@ -79,7 +82,20 @@ fn static_rf_partition_loses_on_disjoint_demand_cdprf_recovers() {
     let name = "ISPEC-FSPEC/mix.2.1";
     let shared = tp(SchemeKind::Cssp, RegFileSchemeKind::Shared, cfg(), name);
     let cssprf = tp(SchemeKind::Cssp, RegFileSchemeKind::Cssprf, cfg(), name);
-    let cdprf = tp(SchemeKind::Cssp, RegFileSchemeKind::Cdprf, cfg(), name);
+    let adaptive = run(SchemeKind::Cssp, RegFileSchemeKind::Cdprf, cfg(), name);
+    // The same point with an interval that never elapses: CDPRF never
+    // repartitions, so if the default run matched it, the checks below
+    // would be passing on the initial partition, not on adaptation.
+    let frozen = MachineConfig {
+        cdprf_interval: 1 << 40,
+        ..cfg()
+    };
+    let never = run(SchemeKind::Cssp, RegFileSchemeKind::Cdprf, frozen, name);
+    assert_ne!(
+        adaptive.stats.cycles, never.stats.cycles,
+        "CDPRF at its default interval must differ from CDPRF that never adapts"
+    );
+    let cdprf = adaptive.throughput();
     assert!(
         cssprf < shared * 0.97,
         "static partition should lose: {cssprf} vs {shared}"
