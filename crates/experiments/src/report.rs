@@ -50,6 +50,10 @@ pub fn render_store_summary(c: &SweepCounters) -> String {
         )
         .unwrap();
     }
+    // Likewise only a sampled sweep captures checkpoints.
+    if let Some(n) = c.captures {
+        writeln!(out, "checkpoints: {n} captured").unwrap();
+    }
     out
 }
 

@@ -35,6 +35,7 @@ use csmt_trace::stream::SharedStream;
 use csmt_trace::suite::{Bundle, TraceSpec, Workload};
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// What one run produces: the memoized (possibly pooled) result, plus
@@ -268,6 +269,8 @@ pub struct SweepCounters {
     pub exec: ExecCounters,
     /// Shared-stream traffic; `None` unless the sweep is batched.
     pub streams: Option<StreamCounters>,
+    /// Checkpoint capture passes; `None` unless the sweep is sampled.
+    pub captures: Option<u64>,
 }
 
 /// Shared decoded streams of a batched sweep.
@@ -458,6 +461,8 @@ pub struct Sweeps {
     /// Shared decoded streams of the batches in flight (batch mode
     /// only; empty otherwise).
     streams: StreamCache,
+    /// Checkpoint capture passes of sampled runs.
+    captures: AtomicU64,
 }
 
 impl Sweeps {
@@ -510,6 +515,7 @@ impl Sweeps {
             journal,
             exec: Executor::new(opts.jobs),
             streams: StreamCache::default(),
+            captures: AtomicU64::new(0),
         }
     }
 
@@ -530,6 +536,10 @@ impl Sweeps {
             orch: self.orch.counters(),
             exec: self.exec.counters(),
             streams: self.opts.batch.then(|| self.streams.counters()),
+            captures: self
+                .opts
+                .sample
+                .map(|_| self.captures.load(Ordering::Relaxed)),
         }
     }
 
@@ -715,7 +725,14 @@ impl Sweeps {
             let streams = self.opts.batch.then(|| (&self.streams, keys[i].as_slice()));
             let desc = job_desc(key);
             let outcome = self.orch.run_job(&desc, || {
-                run_one(key, input, &self.opts, streams, self.artifacts.as_deref())
+                run_one(
+                    key,
+                    input,
+                    &self.opts,
+                    streams,
+                    self.artifacts.as_deref(),
+                    &self.captures,
+                )
             });
             let output = match outcome {
                 // Persisted before it is published, so a result another
@@ -884,6 +901,7 @@ fn run_one(
     opts: &ExpOptions,
     streams: Option<(&StreamCache, &[StreamKey])>,
     artifacts: Option<&ArtifactStore>,
+    captures: &AtomicU64,
 ) -> RunOutput {
     fault_injection::maybe_panic(&key.label);
     let cfg = key.cfg.build();
@@ -910,6 +928,7 @@ fn run_one(
             opts.validate,
             shared.as_deref(),
             artifacts,
+            captures,
         );
         return (pooled, Some(stats));
     }

@@ -35,6 +35,7 @@ use csmt_trace::stream::SharedStream;
 use csmt_trace::suite::TraceSpec;
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Artifact-store kind tag for cached checkpoints.
@@ -199,6 +200,7 @@ fn checkpoints_for(
     specs: &[TraceSpec],
     offsets: &[u64],
     artifacts: Option<&ArtifactStore>,
+    captures: &AtomicU64,
 ) -> Vec<Checkpoint> {
     if let Some(store) = artifacts {
         let cached: Vec<Checkpoint> = offsets
@@ -216,18 +218,20 @@ fn checkpoints_for(
             return cached;
         }
     }
-    capture_checkpoints(specs, offsets, artifacts)
+    capture_checkpoints(specs, offsets, artifacts, captures)
 }
 
-/// Capture the checkpoints for `specs` at `offsets` in one replay pass
-/// and write them back to the artifact store, overwriting any record at
-/// the same key (best-effort — a failed write degrades to a re-capture
-/// next time, never to an error).
+/// Capture the checkpoints for `specs` at `offsets` in one replay pass,
+/// counted in `captures`, and write them back to the artifact store,
+/// overwriting any record at the same key (best-effort — a failed write
+/// degrades to a re-capture next time, never to an error).
 fn capture_checkpoints(
     specs: &[TraceSpec],
     offsets: &[u64],
     artifacts: Option<&ArtifactStore>,
+    captures: &AtomicU64,
 ) -> Vec<Checkpoint> {
+    captures.fetch_add(1, Ordering::Relaxed);
     let captured = Checkpoint::capture_many(specs, offsets);
     if let Some(store) = artifacts {
         for (ck, &off) in captured.iter().zip(offsets) {
@@ -242,7 +246,8 @@ fn capture_checkpoints(
 /// pooled result + per-interval sidecar. Deterministic for fixed inputs
 /// — the checkpoints are pure functions of (specs, offsets) and each
 /// window restore is bit-exact — so sampled runs memoize and dedup
-/// exactly like full runs.
+/// exactly like full runs. Each checkpoint capture pass adds one to
+/// `captures`.
 #[allow(clippy::too_many_arguments)]
 pub fn sampled_run(
     cfg: &MachineConfig,
@@ -255,6 +260,7 @@ pub fn sampled_run(
     validate: bool,
     shared: Option<&[Arc<SharedStream>]>,
     artifacts: Option<&ArtifactStore>,
+    captures: &AtomicU64,
 ) -> (SimResult, SampleStats) {
     let offsets: Vec<u64> = (0..spec.intervals)
         .map(|i| spec.offset(i, horizon))
@@ -280,8 +286,8 @@ pub fn sampled_run(
     // fit the program): treat it like one that fails `verify()` — capture
     // again and overwrite the record. Windows are pure functions of their
     // checkpoint, so re-running them changes no result.
-    let runs = windows(&checkpoints_for(specs, &offsets, artifacts))
-        .or_else(|_| windows(&capture_checkpoints(specs, &offsets, artifacts)))
+    let runs = windows(&checkpoints_for(specs, &offsets, artifacts, captures))
+        .or_else(|_| windows(&capture_checkpoints(specs, &offsets, artifacts, captures)))
         .expect("a freshly captured checkpoint restores");
     let stats = SampleStats { spec, runs };
     (stats.pooled(), stats)
@@ -355,6 +361,7 @@ mod tests {
                 false,
                 None,
                 None,
+                &AtomicU64::new(0),
             )
         };
         let (a, sa) = run();
@@ -400,6 +407,7 @@ mod tests {
             false,
             None,
             store,
+            &AtomicU64::new(0),
         );
         serde_json::to_string(&(pooled, stats)).unwrap()
     }
@@ -498,12 +506,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = ArtifactStore::open(&dir).unwrap();
         let offsets = [0u64, 2_000, 4_000];
-        let cold = checkpoints_for(&specs(), &offsets, Some(&store));
+        let captures = AtomicU64::new(0);
+        let cold = checkpoints_for(&specs(), &offsets, Some(&store), &captures);
         assert_eq!(store.counters().puts, 3);
-        let warm = checkpoints_for(&specs(), &offsets, Some(&store));
+        let warm = checkpoints_for(&specs(), &offsets, Some(&store), &captures);
         assert_eq!(cold, warm, "cached checkpoints must be identical");
         assert_eq!(store.counters().puts, 3, "warm pass writes nothing");
         assert_eq!(store.counters().hits, 3);
+        assert_eq!(captures.into_inner(), 1, "one capture pass, cold only");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -245,6 +245,39 @@ fn batch_summary_counts_stream_decodes() {
     }
 }
 
+/// Only a `--sample`d summary counts checkpoint captures. With one
+/// worker the count is exact: each of the two workloads replays its
+/// checkpoints once, and its other six schemes restore them from the
+/// artifact store; a warm rerun captures nothing.
+#[test]
+fn sampled_summary_counts_checkpoint_captures() {
+    let dir = tmp("captures");
+    let store = dir.to_str().unwrap();
+    let sampled = [
+        "detail:DH/ilp.2.1",
+        "detail:DH/mix.2.1",
+        "--jobs",
+        "1",
+        "--store",
+        store,
+        "--target",
+        "2000",
+        "--warmup",
+        "100",
+        "--sample",
+        "intervals=2,warmup=150,detail=400",
+        "--quiet",
+    ];
+    for line in ["checkpoints: 2 captured", "checkpoints: 0 captured"] {
+        let out = run(&sampled);
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(stderr(&out).contains(line), "{}", stderr(&out));
+    }
+    let full = run(&[&[ARTIFACT, "--no-store", "--jobs", "1"], FAST].concat());
+    assert!(!stderr(&full).contains("checkpoints:"), "{}", stderr(&full));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_flags_fail_fast_with_usage() {
     for (args, needle) in [

@@ -272,6 +272,9 @@ fn every_written_document_nests_far_below_the_parser_bound() {
             CfgKind::RfStudy { regs: 64 },
         )],
     );
+    // Close the store first: an open segment ends in zero fill, which a
+    // clean close trims.
+    drop(sweeps);
     let mut stack = vec![dir.clone()];
     let mut files = 0;
     while let Some(path) = stack.pop() {

@@ -56,11 +56,6 @@ impl StoreKey {
     pub fn content_hash(&self) -> u64 {
         fnv1a(self.canonical_json().as_bytes())
     }
-
-    /// File stem used for the on-disk record: zero-padded hex hash.
-    pub fn file_stem(&self) -> String {
-        format!("{:016x}", self.content_hash())
-    }
 }
 
 /// FNV-1a 64-bit hash — the same primitive the golden-trace tests use.
@@ -95,7 +90,6 @@ mod tests {
     #[test]
     fn equal_keys_hash_equal() {
         assert_eq!(key("a").content_hash(), key("a").content_hash());
-        assert_eq!(key("a").file_stem(), key("a").file_stem());
     }
 
     #[test]
@@ -144,13 +138,6 @@ mod tests {
         let back: StoreKey = serde_json::from_str(&k.canonical_json()).unwrap();
         assert_eq!(back, k);
         assert_eq!(back.content_hash(), k.content_hash());
-    }
-
-    #[test]
-    fn file_stem_is_16_hex_chars() {
-        let s = key("a").file_stem();
-        assert_eq!(s.len(), 16);
-        assert!(s.chars().all(|c| c.is_ascii_hexdigit()));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   target / warm-up / cycle-cap options and a [`SCHEMA_VERSION`] — and
 //!   hashes its canonical JSON into a 64-bit content address.
 //! * [`ResultStore`] maps that address to a serialized
-//!   [`csmt_core::SimResult`] on disk. Records are written atomically
-//!   (temp file + rename), carry a per-record checksum, and corrupt
-//!   records are **quarantined** instead of panicking — a damaged cache
-//!   degrades into a re-simulation, never into wrong data.
+//!   [`csmt_core::SimResult`] on disk. Records are appended to a shared
+//!   record log (one `sync_data`'d write per record, no file per
+//!   record), carry a per-record checksum, and corrupt records are
+//!   **quarantined** instead of panicking — a damaged cache degrades into
+//!   a re-simulation, never into wrong data.
 //! * [`Journal`] appends structured JSONL events (cache hits/misses, job
 //!   start/finish/failure, artifact progress) with a per-run `run_id` and a
 //!   monotonic `seq`, so an interrupted sweep can be resumed and tests can
@@ -33,27 +34,34 @@
 //!
 //! ```text
 //! <store>/
-//!   index.jsonl            one line per record: hash → file + run identity
+//!   index.jsonl            one line per put or quarantine: hash → segment,
+//!                          offset, length
+//!   segments/<id>.jsonl    append-only records (header line with checksum,
+//!                          payload); each open store writes its own segment,
+//!                          zero-filled ahead of its records until closed
+//!   quarantine/            bytes of records that failed verification
 //!   journal.jsonl          append-only event log across runs
-//!   records/<hash>.json    header line (checksum) + payload line
-//!   quarantine/<hash>.json corrupt records, moved aside for post-mortem
 //!   artifacts/             [`ArtifactStore`]: checkpoints and sampling
-//!                          sidecars, same record framing and quarantine
-//!                          discipline (own index/records/quarantine)
+//!                          sidecars in a second log of the same format
 //! ```
+//!
+//! Stores in the earlier file-per-record layout (`records/<hash>.json`)
+//! are not read; their runs simulate once more.
 
 pub mod artifact;
 pub mod executor;
 pub mod journal;
 pub mod key;
+mod log;
 pub mod orchestrator;
 pub mod store;
 
-pub use artifact::{ArtifactCounters, ArtifactStore, ARTIFACT_SCHEMA};
+pub use artifact::ArtifactStore;
 pub use executor::{default_jobs, ExecCounters, Executor};
 pub use journal::{Event, EventKind, JobDesc, Journal};
 pub use key::{fnv1a, StoreKey, SCHEMA_VERSION};
+pub use log::StoreCounters;
 #[doc(hidden)]
 pub use orchestrator::fault_injection;
 pub use orchestrator::{OrchCounters, Orchestrator};
-pub use store::{Lookup, ResultStore, StoreCounters};
+pub use store::{Lookup, ResultStore};

@@ -86,13 +86,29 @@ fn kill_and_resume_matches_direct_restore_with_oracle_armed() {
     assert_eq!(run(), run(), "recaptured resume must be bit-exact");
 }
 
+/// The segment and extent of the last record `index.jsonl` names.
+fn last_extent(root: &std::path::Path) -> (PathBuf, usize, usize) {
+    let index = fs::read_to_string(root.join("index.jsonl")).unwrap();
+    let line: serde_json::Value = serde_json::from_str(index.lines().last().unwrap()).unwrap();
+    let num = |f: &str| match line.get(f) {
+        Some(serde_json::Value::UInt(n)) => *n as usize,
+        other => panic!("index field {f}: {other:?}"),
+    };
+    let seg = root
+        .join("segments")
+        .join(format!("{:06}.jsonl", num("seg")));
+    (seg, num("off"), num("len"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any single flipped byte in a persisted checkpoint record is
-    /// quarantined on read: `get_record` misses (forcing a recapture)
-    /// and the artifact counters record the quarantine. The checkpoint
-    /// layer must never resume from damaged state.
+    /// Any single flipped byte inside a persisted checkpoint record's
+    /// extent is quarantined on read: `get_record` misses (forcing a
+    /// recapture), the record's bytes are kept in `quarantine/`, and
+    /// neither this store nor a reopened one resumes from the damaged
+    /// state. The record written before it in the same segment is
+    /// untouched.
     #[test]
     fn corrupt_checkpoint_is_quarantined_not_resumed(
         offset in 1_000u64..8_000,
@@ -104,35 +120,27 @@ proptest! {
         let store = ArtifactStore::open(&dir).unwrap();
         let ck = Checkpoint::capture(&specs(), offset);
         let payload = serde_json::to_string(&ck).unwrap();
+        store.put_record("checkpoint", "neighbour", &payload).unwrap();
         store.put_record("checkpoint", "k", &payload).unwrap();
 
-        // Flip one byte of the record file on disk.
-        let rec_dir = store.root().join("records");
-        let entry = fs::read_dir(&rec_dir).unwrap().next().unwrap().unwrap();
-        let mut bytes = fs::read(entry.path()).unwrap();
-        let pos = flip_pos_seed % bytes.len();
-        bytes[pos] ^= 1 << flip_bit;
-        fs::write(entry.path(), &bytes).unwrap();
+        // Flip one byte of the record's extent in its segment.
+        let (seg, off, len) = last_extent(store.root());
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[off + flip_pos_seed % len] ^= 1 << flip_bit;
+        fs::write(&seg, &bytes).unwrap();
 
-        match store.get_record("checkpoint", "k") {
-            // The common case: framing or checksum breaks → quarantined.
-            None => {
-                prop_assert_eq!(store.counters().quarantined, 1);
-                prop_assert!(store.root().join("quarantine").exists());
-            }
-            // A flip inside the JSON payload that happens to keep the
-            // record checksum intact is impossible (the checksum covers
-            // the payload bytes); a flip in ignored whitespace does not
-            // exist in compact JSON. But a flip may hit the *key* line of
-            // another field and still verify — then the payload must
-            // still parse to a checkpoint that verifies its own checksum.
-            Some(p) => {
-                let loaded: Checkpoint = serde_json::from_str(&p)
-                    .expect("verified record must parse");
-                prop_assert!(loaded.verify().is_ok());
-                prop_assert_eq!(loaded, ck);
-            }
-        }
+        prop_assert!(store.get_record("checkpoint", "k").is_none());
+        prop_assert_eq!(store.counters().quarantined, 1);
+        let kept: Vec<Vec<u8>> = fs::read_dir(store.root().join("quarantine"))
+            .unwrap()
+            .map(|e| fs::read(e.unwrap().path()).unwrap())
+            .collect();
+        prop_assert_eq!(kept, vec![bytes[off..off + len].to_vec()]);
+        prop_assert_eq!(store.get_record("checkpoint", "neighbour"), Some(payload.clone()));
+
+        let reopened = ArtifactStore::open(&dir).unwrap();
+        prop_assert!(reopened.get_record("checkpoint", "k").is_none());
+        prop_assert_eq!(reopened.get_record("checkpoint", "neighbour"), Some(payload));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -120,3 +120,53 @@ fn concurrent_puts_and_gets_over_overlapping_keys() {
     assert_eq!(reopened.counters().quarantined, 0);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Two store instances on one directory, as two processes (or a daemon
+/// and a CLI run) would open it: each appends to its own segment, both
+/// put overlapping keys from several threads, and a fresh reopen serves
+/// every key from whichever instance wrote it last.
+#[test]
+fn two_instances_on_one_directory_share_the_log() {
+    let dir = tmp("two-instances");
+    let stores = [
+        ResultStore::open(&dir).unwrap(),
+        ResultStore::open(&dir).unwrap(),
+    ];
+
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let store = &stores[t % 2];
+            scope.spawn(move || {
+                for it in 0..ITERS / 10 {
+                    let i = (t * 5 + it * (t + 2)) % KEYS;
+                    store.put(&key(i), &result(i)).unwrap();
+                }
+            });
+        }
+    });
+    for store in &stores {
+        assert_eq!(store.counters().quarantined, 0);
+    }
+    assert_eq!(
+        fs::read_dir(dir.join("segments")).unwrap().count(),
+        2,
+        "one segment per writing instance"
+    );
+    drop(stores);
+
+    let reopened = ResultStore::open(&dir).unwrap();
+    assert_eq!(reopened.len(), KEYS);
+    for i in 0..KEYS {
+        match reopened.get(&key(i)) {
+            Lookup::Hit(r) => assert_eq!(canon(&r), canon(&result(i)), "key {i}"),
+            Lookup::Miss => panic!("key {i} missing after reopen"),
+        }
+    }
+    assert_eq!(reopened.counters().quarantined, 0);
+    assert_eq!(
+        fs::read_dir(dir.join("segments")).unwrap().count(),
+        2,
+        "a store that only reads creates no segment"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,7 @@
 //! Integration tests for the content-addressed store: property-based
-//! round-trips over generated keys/results, and the corruption drill the
-//! store exists for — flip a byte on disk, observe quarantine + miss +
+//! round-trips over generated keys/results, and the crash and corruption
+//! drills the record log exists for — flip a byte inside one record's
+//! extent, or tear a segment's tail, and observe quarantine + miss +
 //! successful re-simulation, never a panic and never wrong data.
 
 use csmt_core::{SimResult, SimStats};
@@ -8,7 +9,7 @@ use csmt_store::{Lookup, ResultStore, StoreKey, SCHEMA_VERSION};
 use csmt_types::MachineConfig;
 use proptest::prelude::*;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("csmt-store-it-{tag}-{}", std::process::id()));
@@ -111,8 +112,10 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Flipping any single byte of a record makes the store quarantine it
-    /// and miss — never panic, never return the damaged payload.
+    /// Flipping any single byte inside one record's extent makes the
+    /// store quarantine that record and miss — never panic, never return
+    /// the damaged payload, not even after a reopen — while its
+    /// neighbours in the same segment stay served.
     #[test]
     fn any_single_byte_flip_is_quarantined(
         cycles in 1u64..1_000_000,
@@ -122,28 +125,67 @@ proptest! {
     ) {
         let dir = tmp(&format!("flip-{case}"));
         let key = make_key("dh".into(), "Icount", "Shared", 32, 12, 2_000, 100);
+        let before = make_key("before".into(), "Icount", "Shared", 32, 12, 2_000, 100);
+        let after = make_key("after".into(), "Icount", "Shared", 32, 12, 2_000, 100);
         let store = ResultStore::open(&dir).unwrap();
+        store.put(&before, &make_result(1, 1, 1, 1)).unwrap();
         store.put(&key, &make_result(cycles, 10, 20, 3)).unwrap();
+        store.put(&after, &make_result(2, 2, 2, 2)).unwrap();
 
-        let path = dir.join("records").join(format!("{}.json", key.file_stem()));
-        let mut bytes = fs::read(&path).unwrap();
-        let pos = flip_pos_seed % bytes.len();
+        let (seg, off, len) = extent(&dir, &key);
+        let mut bytes = fs::read(&seg).unwrap();
+        let pos = off + flip_pos_seed % len;
         bytes[pos] ^= 1 << flip_bit;
-        fs::write(&path, &bytes).unwrap();
+        fs::write(&seg, &bytes).unwrap();
 
         // A flip may hit the header or the payload; either way the record
-        // must not be served.
+        // must not be served, and its bytes are kept.
         prop_assert!(matches!(store.get(&key), Lookup::Miss));
-        prop_assert!(!path.exists(), "damaged record must leave records/");
         prop_assert_eq!(store.counters().quarantined, 1);
+        prop_assert_eq!(quarantined(&dir), vec![bytes[off..off + len].to_vec()]);
+        prop_assert!(matches!(store.get(&before), Lookup::Hit(_)));
+        prop_assert!(matches!(store.get(&after), Lookup::Hit(_)));
+
+        let reopened = ResultStore::open(&dir).unwrap();
+        prop_assert!(matches!(reopened.get(&key), Lookup::Miss));
+        prop_assert!(matches!(reopened.get(&before), Lookup::Hit(_)));
+        prop_assert!(matches!(reopened.get(&after), Lookup::Hit(_)));
+        prop_assert_eq!(reopened.counters().quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }
 
-/// The full corruption drill from the issue: corrupt a record, observe the
-/// quarantine, then "re-simulate" (put the result again) and get a clean
-/// hit — all without a panic, with the damaged bytes preserved for
-/// post-mortem.
+/// The segment holding `key`'s record, and the record's offset and
+/// length in it, from the last `index.jsonl` line naming its hash.
+fn extent(dir: &Path, key: &StoreKey) -> (PathBuf, usize, usize) {
+    let index = fs::read_to_string(dir.join("index.jsonl")).unwrap();
+    let hash = format!("{:016x}", key.content_hash());
+    let line = index
+        .lines()
+        .map(|l| serde_json::from_str::<serde_json::Value>(l).unwrap())
+        .rfind(|v| v.get("hash").and_then(|h| h.as_str()) == Some(&hash))
+        .expect("the record is indexed");
+    let num = |f: &str| match line.get(f) {
+        Some(serde_json::Value::UInt(n)) => *n,
+        other => panic!("index field {f}: {other:?}"),
+    };
+    let seg = dir
+        .join("segments")
+        .join(format!("{:06}.jsonl", num("seg")));
+    (seg, num("off") as usize, num("len") as usize)
+}
+
+/// The contents of every file in `quarantine/`.
+fn quarantined(dir: &Path) -> Vec<Vec<u8>> {
+    fs::read_dir(dir.join("quarantine"))
+        .unwrap()
+        .map(|e| fs::read(e.unwrap().path()).unwrap())
+        .collect()
+}
+
+/// The full corruption drill: corrupt a record, observe the quarantine,
+/// then "re-simulate" (put the result again) and get a clean hit — all
+/// without a panic, with the damaged bytes preserved for post-mortem.
 #[test]
 fn corruption_forces_resimulation_then_recovers() {
     let dir = tmp("drill");
@@ -152,29 +194,23 @@ fn corruption_forces_resimulation_then_recovers() {
 
     let store = ResultStore::open(&dir).unwrap();
     store.put(&key, &fresh).unwrap();
-    let path = dir
-        .join("records")
-        .join(format!("{}.json", key.file_stem()));
+    let (seg, off, len) = extent(&dir, &key);
 
     // Flip a byte in the middle of the payload line.
-    let mut bytes = fs::read(&path).unwrap();
-    let mid = bytes.len() * 3 / 4;
-    bytes[mid] ^= 0x10;
-    fs::write(&path, &bytes).unwrap();
+    let mut bytes = fs::read(&seg).unwrap();
+    bytes[off + len * 3 / 4] ^= 0x10;
+    fs::write(&seg, &bytes).unwrap();
 
     // Lookup detects the damage: quarantine + miss, i.e. "re-simulate".
     assert!(matches!(store.get(&key), Lookup::Miss));
-    let qpath = dir
-        .join("quarantine")
-        .join(format!("{}.json", key.file_stem()));
-    assert!(qpath.exists(), "damaged bytes must be kept for post-mortem");
     assert_eq!(
-        fs::read(&qpath).unwrap(),
-        bytes,
-        "quarantine preserves the file verbatim"
+        quarantined(&dir),
+        vec![bytes[off..off + len].to_vec()],
+        "quarantine preserves the record verbatim"
     );
 
-    // The caller re-simulates and stores again; the slot heals.
+    // The caller re-simulates and stores again; the slot heals, also
+    // across a reopen.
     store.put(&key, &fresh).unwrap();
     match store.get(&key) {
         Lookup::Hit(r) => assert_eq!(canon(&r), canon(&fresh)),
@@ -183,11 +219,15 @@ fn corruption_forces_resimulation_then_recovers() {
     let c = store.counters();
     assert_eq!(c.quarantined, 1);
     assert_eq!(c.puts, 2);
+    match ResultStore::open(&dir).unwrap().get(&key) {
+        Lookup::Hit(r) => assert_eq!(canon(&r), canon(&fresh)),
+        Lookup::Miss => panic!("the re-put supersedes the quarantined record"),
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Truncated record (torn write that somehow survived, e.g. power loss
-/// mid-rename on a non-atomic filesystem) is also a quarantine, not a panic.
+/// A segment truncated under an indexed record is a quarantine, not a
+/// panic.
 #[test]
 fn truncated_record_is_quarantined() {
     let dir = tmp("trunc");
@@ -195,13 +235,57 @@ fn truncated_record_is_quarantined() {
     let store = ResultStore::open(&dir).unwrap();
     store.put(&key, &make_result(100, 1, 2, 0)).unwrap();
 
-    let path = dir
-        .join("records")
-        .join(format!("{}.json", key.file_stem()));
-    let bytes = fs::read(&path).unwrap();
-    fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
+    let (seg, _, len) = extent(&dir, &key);
+    let bytes = fs::read(&seg).unwrap();
+    fs::write(&seg, &bytes[..len / 3]).unwrap();
 
     assert!(matches!(store.get(&key), Lookup::Miss));
     assert_eq!(store.counters().quarantined, 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash mid-append leaves a torn tail, and may lose the index too.
+/// A reopen serves every complete record, misses the torn one, and
+/// accepts the next put.
+#[test]
+fn torn_tail_without_index_serves_whole_records() {
+    let dir = tmp("torn");
+    let keys: Vec<StoreKey> = (0..3)
+        .map(|i| make_key(format!("w{i}"), "Icount", "Shared", 32, 12, 2_000, 100))
+        .collect();
+    let results: Vec<SimResult> = (0..3).map(|i| make_result(100 + i, 1, 2, i)).collect();
+    {
+        let store = ResultStore::open(&dir).unwrap();
+        for (k, r) in keys.iter().zip(&results) {
+            store.put(k, r).unwrap();
+        }
+    }
+    let (seg, off, len) = extent(&dir, &keys[2]);
+    let bytes = fs::read(&seg).unwrap();
+    fs::write(&seg, &bytes[..off + len / 2]).unwrap();
+    fs::remove_file(dir.join("index.jsonl")).unwrap();
+
+    let store = ResultStore::open(&dir).unwrap();
+    assert_eq!(store.len(), 2);
+    for (k, r) in keys.iter().zip(&results).take(2) {
+        match store.get(k) {
+            Lookup::Hit(hit) => assert_eq!(canon(&hit), canon(r)),
+            Lookup::Miss => panic!("complete record {} must be served", k.label),
+        }
+    }
+    assert!(matches!(store.get(&keys[2]), Lookup::Miss));
+    store.put(&keys[2], &results[2]).unwrap();
+    assert!(matches!(store.get(&keys[2]), Lookup::Hit(_)));
+    drop(store);
+
+    let reopened = ResultStore::open(&dir).unwrap();
+    assert_eq!(reopened.len(), 3);
+    for (k, r) in keys.iter().zip(&results) {
+        match reopened.get(k) {
+            Lookup::Hit(hit) => assert_eq!(canon(&hit), canon(r)),
+            Lookup::Miss => panic!("record {} lost after the re-put", k.label),
+        }
+    }
+    assert_eq!(reopened.counters().quarantined, 0);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -9,7 +9,10 @@
 #            (runs start in batch order, so only the pairings in flight
 #            hold streams)
 #   cold     --store DIR --jobs 2 (fresh store)
-#   warm     the same command again, served from the store
+#   warm     the same command again, served from the store; its stderr
+#            summary must also show nothing simulated and 0 records
+#            written (a store that silently misses re-simulates and still
+#            renders identical tables)
 #   client1  } two concurrent `client` runs against a csmt-serve daemon
 #   client2  } on a fresh store, client2 with --batch: the two specs
 #              differ only in batching, so they share one memo group and
@@ -85,6 +88,17 @@ check_streams() {
     fi
 }
 
+# Fail unless the warm leg's summary shows a store that was read: no
+# simulation, no record written.
+check_warm() {
+    if ! grep -q '^jobs:  0 simulated, 0 failed$' "$work/warm.err" ||
+        ! grep -q ' misses (100.0% warm), 0 records written, ' "$work/warm.err"; then
+        cat "$work/warm.err" >&2
+        echo "equivalence: FAIL '$set' leg warm did not serve every run from the store" >&2
+        exit 1
+    fi
+}
+
 # Run leg $1 (the command after it) into $work/$1.out and diff that
 # against the reference run of the current set.
 leg() {
@@ -112,6 +126,7 @@ for set in "${SETS[@]}"; do
     check_streams $((3 * threads))
     leg cold "$BIN" "${args[@]}" --store "$work/cli-store" --jobs 2
     leg warm "$BIN" "${args[@]}" --store "$work/cli-store" --jobs 2
+    check_warm
 
     start_daemon "$work/serve-store"
     leg client1 "$BIN" client --socket "$sock" "${args[@]}" &

@@ -27,6 +27,7 @@ use csmt_experiments::figures::fig2::{SLICE_COMBOS, SLICE_WORKLOADS};
 use csmt_experiments::sample::{self, SampleStats};
 use csmt_trace::suite::{suite, Workload};
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind};
+use std::sync::atomic::AtomicU64;
 
 const TARGET: u64 = 20_000;
 const MAX_CYCLES: u64 = 60_000_000;
@@ -62,6 +63,7 @@ fn sampled(w: &Workload, iq: SchemeKind, size: usize, intervals: u64) -> SampleS
         false,
         None,
         None,
+        &AtomicU64::new(0),
     )
     .1
 }
